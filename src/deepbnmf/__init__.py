@@ -58,8 +58,6 @@ from .model import (
 )
 from .scalars import (
     Bracket,
-    cubic_one_real_root,
-    expand_bracket,
     lambert_w0,
     lambert_w0_from_log,
     solve_monotone_scalar,

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  All diagnostics go
 to standard error; the only things written to standard out are requested
-reports.  Set ``DBNMF_THREADS`` to enable row-parallel W kernels (results
-are bitwise identical to the sequential default).
+reports.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .metrics import compare_runs, composite_features, hoyer_sparsity, ssc_row_z
 from .model import ConvergenceTrace, DeepState, LayerSpec, SolverConfig
 from .minvol import minvol_factorize
 from .solvers import deep_factorize, multilayer_factorize
-from .updates import thread_count
 
 METHODS = ("multilayer", "deep", "minvol")
 BETA_CHOICES = ("0", "0.5", "1", "1.5", "2")
@@ -183,7 +181,6 @@ def _cmd_factorize(args):
         "eps_floor": f"{config.eps_floor:.17g}",
         "rel_obj_tol": config.rel_obj_tol,
         "timing": args.timing,
-        "threads": thread_count(),
         "out": str(out),
     }
     _write_manifest(out / "manifest.txt", manifest)

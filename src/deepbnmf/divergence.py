@@ -86,6 +86,13 @@ def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
+    return float(np.sum(_beta_div_cells(A, B, b)))
+
+
+def _beta_div_cells(A, B, b: float) -> np.ndarray:
+    """Entrywise d_beta(A, B), with the saturating conventions of beta_div_scalar."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         if b == 1.0:
             log_term = np.where(A > 0, A * np.log(np.where(A > 0, A, 1.0) / B), 0.0)
@@ -103,8 +110,7 @@ def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:
     total = np.where(np.isnan(total), INFINITE_DIVERGENCE, total)
     # The divergence is exactly zero on the diagonal; rounding in the power
     # forms must not leak through.
-    total = np.where(A == B, 0.0, total)
-    return float(np.sum(total))
+    return np.where(A == B, 0.0, total)
 
 
 @dataclass(frozen=True)
@@ -128,12 +134,9 @@ def decomposition_terms(beta) -> DecompositionTerms:
     b = check_beta(beta)
     if b >= 1.0:
         # The divergence is already convex in u: no concave or constant part.
-        def check_d(v, u, _b=b):
-            return _elementwise_div(v, u, _b)
-
         return DecompositionTerms(
             beta=b,
-            check_d=check_d,
+            check_d=lambda v, u: _beta_div_cells(v, u, b),
             hat_d=lambda v, u: np.zeros(np.broadcast(v, u).shape),
             bar_d=lambda v: np.zeros(np.shape(v)),
             hat_d_prime=lambda v, u: np.zeros(np.broadcast(v, u).shape),
@@ -156,16 +159,3 @@ def decomposition_terms(beta) -> DecompositionTerms:
         bar_d=lambda v: -4.0 * np.sqrt(v),
         hat_d_prime=lambda v, u: 1.0 / np.sqrt(u) + 0.0 * np.asarray(v, dtype=float),
     )
-
-
-def _elementwise_div(v, u, b):
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if b == 1.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_term = np.where(v > 0, v * np.log(np.where(v > 0, v, 1.0) / u), 0.0)
-        return log_term - v + u
-    if b == 2.0:
-        return 0.5 * (v - u) ** 2
-    # b == 1.5
-    return (4.0 / 3.0) * (v ** 1.5 + 0.5 * u ** 1.5 - 1.5 * v * np.sqrt(u))

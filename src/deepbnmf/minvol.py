@@ -1,4 +1,4 @@
-"""Minimum-volume deep KL-NMF: log-det majorizer, inner ADMM, orchestration.
+"""Minimum-volume deep KL-NMF: log-det majorizer, inner ADMM, block updates.
 
 The model adds ``alpha_l * logdet(W_l^T W_l + delta I)`` to each layer of the
 KL chain and constrains columns of every ``W_l`` to the simplex.  H factors
@@ -11,7 +11,6 @@ whose Z step is an entrywise Lambert W evaluation.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -19,21 +18,20 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .divergence import beta_div_matrix
-from .errors import ConfigError, DimensionError, MonotonicityError, PreconditionError
+from .errors import ConfigError, DimensionError, PreconditionError
 from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
     DeepState,
     MACHINE_EPS,
     SolverConfig,
-    SweepRecord,
-    auto_balance_weights,
-    eval_objective,
-    init_random,
     logdet_gram,
 )
 from .scalars import lambert_w0_exp
-from .solvers import multilayer_factorize
+from .solvers import run_sweeps
+# Not called here; perfbench/tracer.py wraps these names on this module.
+from .model import auto_balance_weights, eval_objective  # noqa: F401
+from .solvers import multilayer_factorize  # noqa: F401
 from .updates import (
     InnerWContext,
     _newton_bisection_vec,
@@ -97,14 +95,15 @@ def simplex_w_cells(W_tilde, C, S, T, mu):
     """Entrywise W map of the simplex-constrained quadratic subproblem.
 
     Every entry is nonnegative by construction and strictly decreasing in its
-    column's multiplier ``mu``.
+    column's multiplier ``mu``.  Returns the entries and ``sqrt((C+mu)^2+S)``,
+    whose ratio is minus their derivative in ``mu``.
     """
     u = C + np.asarray(mu)[None, :]
     root = np.sqrt(u * u + S)
     # Conjugate form for u > 0: sqrt(u^2+S) - u loses digits when u >> S.
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(u > 0, S / (root + u), root - u)
-    return W_tilde * g / T
+    return W_tilde * g / T, root
 
 
 def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL):
@@ -115,16 +114,8 @@ def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL):
     each mu is found by safeguarded Newton so that columns sum to one.
     """
 
-    def cells(mu):
-        u = C + mu[None, :]
-        root = np.sqrt(u * u + S)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(u > 0, S / (root + u), root - u)
-        w = W_tilde * g / T
-        return w, root
-
     def f_df(mu):
-        w, root = cells(mu)
+        w, root = simplex_w_cells(W_tilde, C, S, T, mu)
         return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
 
     f_only = lambda mu: f_df(mu)[0]
@@ -132,13 +123,12 @@ def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL):
     hi = _expand_hi(f_only, ones)
     lo = _expand_lo(f_only, -ones)
     mu = _newton_bisection_vec(f_df, lo, hi, np.zeros_like(ones), tol)
-    W, _ = cells(mu)
+    W, _ = simplex_w_cells(W_tilde, C, S, T, mu)
     return W
 
 
-def _w_step_terms(ctx: InnerWContext, ldctx: LogDetContext, rho: float, alpha_ratio: float):
+def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float):
     """Iteration-invariant pieces of the W step, built once per outer sweep."""
-    Wt, H, Y = ctx.W_tilde, ctx.H, ctx.Y
     P = (Y / (Wt @ H)) @ H.T
     curv = Wt @ (ldctx.A_plus + ldctx.A_minus)
     T = 4.0 * alpha_ratio * curv + 2.0 * rho
@@ -161,19 +151,15 @@ def admm_w_step(
     """
     if not rho > 0 or not alpha_ratio > 0:
         raise ConfigError("rho and alpha_ratio must be positive")
-    C0, S, T = _w_step_terms(ctx, ldctx, rho, alpha_ratio)
+    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio)
     return _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T)
 
 
 def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: float):
-    """Last-layer W update: same construction without the ADMM coupling terms."""
+    """Last-layer W update: the ADMM W step without its coupling terms (rho = 0)."""
     if not alpha_ratio > 0:
         raise ConfigError("alpha_ratio must be positive")
-    P = (Y / (W_tilde @ H)) @ H.T
-    curv = W_tilde @ (ldctx.A_plus + ldctx.A_minus)
-    T = 4.0 * alpha_ratio * curv
-    S = 2.0 * T * P
-    C = H.sum(axis=1)[None, :] - 4.0 * alpha_ratio * (W_tilde @ ldctx.A_minus)
+    C, S, T = _w_step_terms(Y, W_tilde, H, ldctx, 0.0, alpha_ratio)
     return _simplex_w_minimize(W_tilde, C, S, T)
 
 
@@ -231,7 +217,7 @@ def admm_solve_w(
     if not rho > 0 or not alpha_ratio > 0:
         raise ConfigError("rho and alpha_ratio must be positive")
     nu = rho / ctx.lambda_ratio
-    C0, S, T = _w_step_terms(ctx, ldctx, rho, alpha_ratio)
+    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio)
     W = ctx.W_tilde.copy()
     Z = W.copy()
     U = np.zeros_like(W)
@@ -257,38 +243,82 @@ def admm_solve_w(
     return final, AdmmRun(state=state, residuals=residuals, converged=converged)
 
 
-def _column_normalize_chain(state: DeepState) -> DeepState:
-    """Switch a chain to the column-simplex convention, preserving products.
-
-    Each W is divided columnwise by its column sums, the matching H rows are
-    multiplied back, and the next layer's H absorbs the inverse scaling of
-    its new target.
-    """
-    out = state.copy()
-    prev_scale = None
-    for i in range(out.num_layers):
-        if prev_scale is not None:
-            out.H[i] = out.H[i] / prev_scale[None, :]
-        scale = out.W[i].sum(axis=0)
-        out.W[i] = out.W[i] / scale
-        out.H[i] = out.H[i] * scale[:, None]
-        prev_scale = scale
-    return out
-
-
-def _max_column_simplex_residual(state: DeepState) -> float:
-    worst = 0.0
-    for w in state.W:
-        worst = max(worst, float(np.abs(w.sum(axis=0) - 1.0).max()))
-    return worst
-
-
 def _w_block_value(W, Y, H, W_bar, lam, lam_next, alpha, delta) -> float:
     """All objective terms that depend on one intermediate-layer W."""
     value = lam * beta_div_matrix(Y, W @ H, 1.0)
     value += lam_next * beta_div_matrix(W, W_bar, 1.0)
     value += alpha * logdet_gram(W, delta)
     return value
+
+
+class MinvolBlocks:
+    """Block updates of min-vol deep KL-NMF: columns of W on the simplex.
+
+    H takes one multiplicative step; intermediate W blocks are solved by the
+    inner ADMM and the last one by the terminal step.  Counts the ADMM solves
+    that stopped at the iteration cap and the steps rejected as non-descent.
+    """
+
+    constraint = COLUMN_SIMPLEX_W
+    model = "minvol"
+
+    def __init__(self, config: SolverConfig):
+        self.config = config
+        self.alphas = config.alphas()
+        self.stalled_admm = 0
+        self.rejected_steps = 0
+
+    def update_layer(self, state: DeepState, i: int, lams):
+        config, alphas, eps = self.config, self.alphas, self.config.eps_floor
+        target = state.prev_w(i)
+        state.H[i] = update_h_plain(state.W[i], target, state.H[i], config.beta, eps=eps)
+        ldctx = build_logdet_context(state.W[i], config.delta)
+        alpha_ratio = alphas[i] / lams[i]
+        if i == state.num_layers - 1:
+            W_new = minvol_terminal_w_step(target, state.W[i], state.H[i], ldctx, alpha_ratio)
+            W_new = epsilon_floor(W_new, eps)
+            state.W[i] = W_new / W_new.sum(axis=0, keepdims=True)
+            return
+        W_bar = state.W[i + 1] @ state.H[i + 1]
+        ctx = InnerWContext(
+            Y=target,
+            W_tilde=state.W[i],
+            H=state.H[i],
+            W_bar=W_bar,
+            lambda_ratio=lams[i + 1] / lams[i],
+        )
+        W_new, run = admm_solve_w(
+            ctx,
+            ldctx,
+            alpha_ratio,
+            rho=config.rho,
+            max_iter=config.admm_max_iter,
+            tol=config.admm_tol,
+            eps=eps,
+        )
+        if not run.converged:
+            self.stalled_admm += 1
+        # A truncated ADMM can return a worse point than the current iterate
+        # (its iterates are not monotone in the subproblem objective); reject
+        # such steps to keep the outer sweep a descent method.
+        before = _w_block_value(
+            state.W[i], target, state.H[i], W_bar,
+            lams[i], lams[i + 1], alphas[i], config.delta,
+        )
+        after = _w_block_value(
+            W_new, target, state.H[i], W_bar,
+            lams[i], lams[i + 1], alphas[i], config.delta,
+        )
+        if after <= before + 1e-12 * max(1.0, abs(before)):
+            state.W[i] = W_new
+        else:
+            self.rejected_steps += 1
+
+    def slack(self, previous_total: float, lams) -> float:
+        return 10.0 * self.config.admm_tol * (sum(self.alphas) + sum(lams))
+
+    def logdet_terms(self, state: DeepState, per_layer) -> tuple:
+        return tuple(t.logdet for t in per_layer)
 
 
 def minvol_factorize(
@@ -310,116 +340,12 @@ def minvol_factorize(
         raise ConfigError("min-vol factorization is derived for beta = 1 only")
     if any(not spec.alpha > 0 for spec in config.layers):
         raise ConfigError("min-vol requires a positive alpha for every layer")
-    eps = config.eps_floor
-    if warm is not None:
-        state = warm.copy()
-        state.check_dims()
-    elif config.warm_start_sweeps > 0:
-        warm_config = SolverConfig(
-            beta=config.beta,
-            layers=config.layers,
-            delta=config.delta,
-            max_sweeps=config.warm_start_sweeps,
-            eps_floor=config.eps_floor,
-            seed=config.seed,
-        )
-        ml_state, _ = multilayer_factorize(X, warm_config)
-        state = _column_normalize_chain(ml_state)
-    else:
-        state = init_random(X, config.layers, config.seed, COLUMN_SIMPLEX_W)
-    for i in range(state.num_layers):
-        state.W[i] = epsilon_floor(state.W[i], eps)
-        state.W[i] /= state.W[i].sum(axis=0, keepdims=True)
-        state.H[i] = epsilon_floor(state.H[i], eps)
-
-    if any(spec.lam is None for spec in config.layers):
-        resolved = config.with_lambdas(auto_balance_weights(state, config.beta))
-    else:
-        resolved = config
-    lams = resolved.lambdas()
-    alphas = resolved.alphas()
-    slack = 10.0 * config.admm_tol * (sum(alphas) + sum(lams))
-
-    num_layers = state.num_layers
-    trace = ConvergenceTrace(num_layers, lambdas=list(lams))
-    previous_total = np.inf
-    stalled_admm = 0
-    rejected_steps = 0
-    for sweep in range(config.max_sweeps):
-        started = time.perf_counter()
-        for i in range(num_layers):
-            target = state.prev_w(i)
-            state.H[i] = update_h_plain(
-                state.W[i], target, state.H[i], config.beta, eps=eps
-            )
-            ldctx = build_logdet_context(state.W[i], config.delta)
-            alpha_ratio = alphas[i] / lams[i]
-            if i < num_layers - 1:
-                W_bar = state.W[i + 1] @ state.H[i + 1]
-                ctx = InnerWContext(
-                    Y=target,
-                    W_tilde=state.W[i],
-                    H=state.H[i],
-                    W_bar=W_bar,
-                    lambda_ratio=lams[i + 1] / lams[i],
-                )
-                W_new, run = admm_solve_w(
-                    ctx,
-                    ldctx,
-                    alpha_ratio,
-                    rho=config.rho,
-                    max_iter=config.admm_max_iter,
-                    tol=config.admm_tol,
-                    eps=eps,
-                )
-                if not run.converged:
-                    stalled_admm += 1
-                # A truncated ADMM can return a worse point than the current
-                # iterate (its iterates are not monotone in the subproblem
-                # objective); reject such steps to keep the outer sweep a
-                # descent method.
-                before = _w_block_value(
-                    state.W[i], target, state.H[i], W_bar,
-                    lams[i], lams[i + 1], alphas[i], config.delta,
-                )
-                after = _w_block_value(
-                    W_new, target, state.H[i], W_bar,
-                    lams[i], lams[i + 1], alphas[i], config.delta,
-                )
-                if after <= before + 1e-12 * max(1.0, abs(before)):
-                    state.W[i] = W_new
-                else:
-                    rejected_steps += 1
-            else:
-                W_new = minvol_terminal_w_step(
-                    target, state.W[i], state.H[i], ldctx, alpha_ratio
-                )
-                W_new = epsilon_floor(W_new, eps)
-                state.W[i] = W_new / W_new.sum(axis=0, keepdims=True)
-        total, per_layer = eval_objective(state, resolved, "minvol")
-        if total > previous_total + slack:
-            raise MonotonicityError(
-                f"min-vol objective rose from {previous_total} to {total} "
-                f"at sweep {sweep}, beyond the inexactness slack {slack}"
-            )
-        trace.append(
-            SweepRecord(
-                sweep=sweep,
-                total_objective=total,
-                layer_errors=tuple(t.divergence for t in per_layer),
-                logdet_terms=tuple(t.logdet for t in per_layer),
-                max_residual=_max_column_simplex_residual(state),
-                seconds=time.perf_counter() - started,
-            )
-        )
-        if config.rel_obj_tol > 0 and np.isfinite(previous_total):
-            if abs(previous_total - total) <= config.rel_obj_tol * max(1.0, abs(previous_total)):
-                break
-        previous_total = total
-    if stalled_admm:
+    blocks = MinvolBlocks(config)
+    state, trace = run_sweeps(X, config, warm, blocks)
+    if blocks.stalled_admm:
         warnings.warn(
-            f"{stalled_admm} inner ADMM solves stopped at the iteration cap "
-            f"above tolerance ({rejected_steps} of them rejected as non-descent)",
+            f"{blocks.stalled_admm} inner ADMM solves stopped at the iteration cap "
+            f"above tolerance ({blocks.rejected_steps} of them rejected as non-descent)",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -311,6 +311,37 @@ def eval_objective(
     return total, per_layer
 
 
+def simplex_residual(state: DeepState, constraint: Constraint) -> float:
+    """Worst deviation from one of the constrained sums (rows of H or columns of W)."""
+    if constraint == ROW_SIMPLEX_H:
+        sums = [h.sum(axis=1) for h in state.H]
+    elif constraint == COLUMN_SIMPLEX_W:
+        sums = [w.sum(axis=0) for w in state.W]
+    else:
+        raise ConfigError(f"unknown constraint {constraint!r}")
+    worst = 0.0
+    for s in sums:
+        worst = max(worst, float(np.abs(s - 1.0).max()))
+    return worst
+
+
+def _column_normalize_chain(state: DeepState):
+    """Switch a chain to the column-simplex convention in place, preserving products.
+
+    Each W is divided columnwise by its column sums, the matching H rows are
+    multiplied back, and the next layer's H absorbs the inverse scaling of
+    its new target.
+    """
+    prev_scale = None
+    for i in range(state.num_layers):
+        if prev_scale is not None:
+            state.H[i] = state.H[i] / prev_scale[None, :]
+        scale = state.W[i].sum(axis=0)
+        state.W[i] = state.W[i] / scale
+        state.H[i] = state.H[i] * scale[:, None]
+        prev_scale = scale
+
+
 @dataclass(frozen=True)
 class StateReport:
     max_negativity: float
@@ -331,15 +362,7 @@ def validate_state(state: DeepState, constraint: Constraint, tol: float = 1e-8) 
     for mat in state.W + state.H:
         if mat.size:
             neg = max(neg, float(-min(0.0, mat.min())))
-    residual = 0.0
-    if constraint == ROW_SIMPLEX_H:
-        for h in state.H:
-            residual = max(residual, float(np.abs(h.sum(axis=1) - 1.0).max()))
-    elif constraint == COLUMN_SIMPLEX_W:
-        for w in state.W:
-            residual = max(residual, float(np.abs(w.sum(axis=0) - 1.0).max()))
-    else:
-        raise ConfigError(f"unknown constraint {constraint!r}")
+    residual = simplex_residual(state, constraint)
     if neg > tol or residual > tol:
         message = f"violations exceed tol={tol}"
     return StateReport(neg, residual, dims_ok, message)

@@ -1,4 +1,4 @@
-"""Scalar numerical kernels: Lambert W, depressed cubics, safeguarded roots.
+"""Scalar numerical kernels: Lambert W and safeguarded monotone roots.
 
 These routines back every closed-form multiplicative update in the package,
 so they aim for near machine precision rather than speed-at-any-cost.
@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NoRootError, PreconditionError
+from .errors import DomainError, NoRootError
 
 # Arguments of exp() above this are treated as overflow-prone and routed
 # through the log-domain Lambert solver.
@@ -123,77 +123,6 @@ def lambert_w0_exp(t):
     if np.ndim(t) == 0:
         return float(out)
     return out
-
-
-def cubic_one_real_root(a: float, b: float) -> float:
-    """Unique real root of ``z**3 + a*z + b = 0`` when the other two are complex.
-
-    Uses the Cardano radical form with sign-aware cube roots.  Requires a
-    positive discriminant ``b**2/4 + a**3/27``; the three-real-roots case is
-    rejected so callers can fall back to bracketed iteration.
-    """
-    disc = 0.25 * b * b + a ** 3 / 27.0
-    if not disc > 0.0:
-        raise PreconditionError(
-            f"cubic discriminant {disc} is not positive; no unique real root"
-        )
-    s = np.sqrt(disc)
-    return float(np.cbrt(-0.5 * b + s) + np.cbrt(-0.5 * b - s))
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    x0: float,
-    span: float = 1.0,
-    lower_limit: Optional[float] = None,
-    upper_limit: Optional[float] = None,
-    max_iter: int = 200,
-) -> Bracket:
-    """Grow an interval around ``x0`` until ``f`` changes sign across it.
-
-    The interval expands geometrically away from ``x0``.  Open one-sided
-    limits are approached geometrically instead of crossed, which suits
-    callers that only know a one-sided domain bound.
-    """
-
-    def clip_lo(candidate, shrink):
-        if lower_limit is None:
-            return candidate
-        if candidate > lower_limit:
-            return candidate
-        return lower_limit + shrink
-
-    def clip_hi(candidate, shrink):
-        if upper_limit is None:
-            return candidate
-        if candidate < upper_limit:
-            return candidate
-        return upper_limit - shrink
-
-    lo_gap = span if lower_limit is None else min(span, (x0 - lower_limit) / 2.0)
-    hi_gap = span if upper_limit is None else min(span, (upper_limit - x0) / 2.0)
-    lo = clip_lo(x0 - lo_gap, lo_gap / 2.0)
-    hi = clip_hi(x0 + hi_gap, hi_gap / 2.0)
-    flo, fhi = f(lo), f(hi)
-    for _ in range(max_iter):
-        if np.sign(flo) != np.sign(fhi) and not (flo == 0 and fhi == 0):
-            return Bracket(lo, hi)
-        if abs(flo) <= abs(fhi):
-            # The root is more likely below lo: push lo outward.
-            gap = (x0 - lo) * 2.0 if x0 > lo else max(span, 1.0)
-            if lower_limit is None:
-                lo = x0 - gap
-            else:
-                lo = lower_limit + (lo - lower_limit) / 2.0
-            flo = f(lo)
-        else:
-            gap = (hi - x0) * 2.0 if hi > x0 else max(span, 1.0)
-            if upper_limit is None:
-                hi = x0 + gap
-            else:
-                hi = upper_limit - (upper_limit - hi) / 2.0
-            fhi = f(hi)
-    raise NoRootError("no sign change found during bracket expansion")
 
 
 def solve_monotone_scalar(

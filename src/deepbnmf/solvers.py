@@ -3,7 +3,8 @@
 Multilayer fits one layer at a time and never revisits earlier layers; the
 deep solver re-optimizes all factors jointly with block-majorization sweeps,
 which keeps the weighted total objective non-increasing.  The deep solver is
-warm-started from a multilayer run by default.
+warm-started from a multilayer run by default.  ``run_sweeps`` is the sweep
+driver shared with the min-vol solver; each model supplies its block updates.
 """
 
 from __future__ import annotations
@@ -17,15 +18,18 @@ import numpy as np
 from .divergence import beta_div_matrix
 from .errors import ConfigError, MonotonicityError
 from .model import (
+    COLUMN_SIMPLEX_W,
     ConvergenceTrace,
     DeepState,
     ROW_SIMPLEX_H,
     SolverConfig,
     SweepRecord,
     auto_balance_weights,
+    _column_normalize_chain,
     eval_objective,
     init_random,
     logdet_gram,
+    simplex_residual,
 )
 from .updates import (
     InnerWContext,
@@ -41,13 +45,6 @@ MONOTONICITY_REL_SLACK = 1e-10
 
 DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
 MULTILAYER_BETAS = (0.0, 0.5, 1.0, 1.5, 2.0)
-
-
-def _max_row_simplex_residual(state: DeepState) -> float:
-    worst = 0.0
-    for h in state.H:
-        worst = max(worst, float(np.abs(h.sum(axis=1) - 1.0).max()))
-    return worst
 
 
 def _conditioning_diagnostics(state: DeepState, delta: float):
@@ -101,7 +98,7 @@ def multilayer_factorize(
                     total_objective=total,
                     layer_errors=tuple(errors),
                     logdet_terms=_conditioning_diagnostics(state, config.delta),
-                    max_residual=_max_row_simplex_residual(state),
+                    max_residual=simplex_residual(state, ROW_SIMPLEX_H),
                     seconds=time.perf_counter() - started,
                 )
             )
@@ -112,6 +109,118 @@ def multilayer_factorize(
                 break
             prev_err = err
         frozen[i] = beta_div_matrix(target, state.W[i] @ state.H[i], config.beta)
+    return state, trace
+
+
+class DeepBlocks:
+    """Block updates of plain deep beta-NMF: rows of H on the simplex.
+
+    Intermediate W blocks have entrywise closed forms; the last W block takes
+    one classical multiplicative step.
+    """
+
+    constraint = ROW_SIMPLEX_H
+    model = "plain"
+
+    def __init__(self, config: SolverConfig):
+        self.config = config
+
+    def update_layer(self, state: DeepState, i: int, lams):
+        beta, eps = self.config.beta, self.config.eps_floor
+        target = state.prev_w(i)
+        state.H[i] = update_h_simplex(state.W[i], target, state.H[i], beta, eps=eps)
+        if i < state.num_layers - 1:
+            ctx = InnerWContext(
+                Y=target,
+                W_tilde=state.W[i],
+                H=state.H[i],
+                W_bar=state.W[i + 1] @ state.H[i + 1],
+                lambda_ratio=lams[i + 1] / lams[i],
+            )
+            state.W[i] = update_w_inner(ctx, beta, eps=eps)
+        else:
+            state.W[i] = update_w_terminal(target, state.W[i], state.H[i], beta, eps=eps)
+
+    def slack(self, previous_total: float, lams) -> float:
+        return MONOTONICITY_REL_SLACK * max(1.0, abs(previous_total))
+
+    def logdet_terms(self, state: DeepState, per_layer) -> tuple:
+        return _conditioning_diagnostics(state, self.config.delta)
+
+
+def run_sweeps(
+    X: np.ndarray,
+    config: SolverConfig,
+    warm: Optional[DeepState],
+    blocks,
+) -> Tuple[DeepState, ConvergenceTrace]:
+    """Block-majorization sweeps shared by the deep and min-vol solvers.
+
+    The start is ``warm`` (its factors, fitted to ``X``), else
+    ``config.warm_start_sweeps`` of multilayer NMF, else a random state.
+    Factors are floored and put in the convention of ``blocks.constraint``;
+    lambda weights left as ``None`` are auto-balanced at that state.  Each
+    sweep calls ``blocks.update_layer(state, i, lams)`` for every layer, then
+    evaluates the ``blocks.model`` objective, which may not rise by more than
+    ``blocks.slack(previous_total, lams)`` (else ``MonotonicityError``).
+    ``blocks.logdet_terms(state, per_layer)`` fills the trace's log-det
+    columns.  A positive ``config.rel_obj_tol`` stops the run early.
+    """
+    eps = config.eps_floor
+    column_w = blocks.constraint == COLUMN_SIMPLEX_W
+    if warm is not None:
+        state = DeepState(
+            X=np.asarray(X, dtype=float),
+            W=[w.copy() for w in warm.W],
+            H=[h.copy() for h in warm.H],
+        )
+        state.check_dims()
+    elif config.warm_start_sweeps > 0:
+        state, _ = multilayer_factorize(X, replace(config, max_sweeps=config.warm_start_sweeps))
+        if column_w:
+            _column_normalize_chain(state)
+    else:
+        state = init_random(X, config.layers, config.seed, blocks.constraint)
+    for i in range(state.num_layers):
+        state.W[i] = epsilon_floor(state.W[i], eps)
+        if column_w:
+            state.W[i] /= state.W[i].sum(axis=0, keepdims=True)
+        state.H[i] = epsilon_floor(state.H[i], eps)
+
+    if any(spec.lam is None for spec in config.layers):
+        balanced = auto_balance_weights(state, config.beta)
+        config = config.with_lambdas(
+            [b if spec.lam is None else spec.lam for spec, b in zip(config.layers, balanced)]
+        )
+    lams = config.lambdas()
+
+    trace = ConvergenceTrace(state.num_layers, lambdas=list(lams))
+    previous_total = np.inf
+    for sweep in range(config.max_sweeps):
+        started = time.perf_counter()
+        for i in range(state.num_layers):
+            blocks.update_layer(state, i, lams)
+        total, per_layer = eval_objective(state, config, blocks.model)
+        slack = blocks.slack(previous_total, lams)
+        if total > previous_total + slack:
+            raise MonotonicityError(
+                f"{blocks.model} objective rose from {previous_total} to {total} "
+                f"at sweep {sweep}, beyond the slack {slack}"
+            )
+        trace.append(
+            SweepRecord(
+                sweep=sweep,
+                total_objective=total,
+                layer_errors=tuple(t.divergence for t in per_layer),
+                logdet_terms=blocks.logdet_terms(state, per_layer),
+                max_residual=simplex_residual(state, blocks.constraint),
+                seconds=time.perf_counter() - started,
+            )
+        )
+        if config.rel_obj_tol > 0 and np.isfinite(previous_total):
+            if abs(previous_total - total) <= config.rel_obj_tol * max(1.0, abs(previous_total)):
+                break
+        previous_total = total
     return state, trace
 
 
@@ -135,66 +244,4 @@ def deep_factorize(
             f"deep factorization supports beta in {DEEP_BETAS}; "
             "beta = 2 is supported for the multilayer baseline only"
         )
-    eps = config.eps_floor
-    if warm is not None:
-        state = warm.copy()
-        state.check_dims()
-    elif config.warm_start_sweeps > 0:
-        warm_config = replace(config, max_sweeps=config.warm_start_sweeps)
-        state, _ = multilayer_factorize(X, warm_config)
-    else:
-        state = init_random(X, config.layers, config.seed, ROW_SIMPLEX_H)
-    for i in range(state.num_layers):
-        state.W[i] = epsilon_floor(state.W[i], eps)
-        state.H[i] = epsilon_floor(state.H[i], eps)
-
-    if any(spec.lam is None for spec in config.layers):
-        resolved = config.with_lambdas(auto_balance_weights(state, config.beta))
-    else:
-        resolved = config
-    lams = resolved.lambdas()
-
-    num_layers = state.num_layers
-    trace = ConvergenceTrace(num_layers, lambdas=list(lams))
-    previous_total = np.inf
-    for sweep in range(config.max_sweeps):
-        started = time.perf_counter()
-        for i in range(num_layers):
-            target = state.prev_w(i)
-            state.H[i] = update_h_simplex(
-                state.W[i], target, state.H[i], config.beta, eps=eps
-            )
-            if i < num_layers - 1:
-                ctx = InnerWContext(
-                    Y=target,
-                    W_tilde=state.W[i],
-                    H=state.H[i],
-                    W_bar=state.W[i + 1] @ state.H[i + 1],
-                    lambda_ratio=lams[i + 1] / lams[i],
-                )
-                state.W[i] = update_w_inner(ctx, config.beta, eps=eps)
-            else:
-                state.W[i] = update_w_terminal(
-                    target, state.W[i], state.H[i], config.beta, eps=eps
-                )
-        total, per_layer = eval_objective(state, resolved, "plain")
-        slack = MONOTONICITY_REL_SLACK * max(1.0, abs(previous_total))
-        if total > previous_total + slack:
-            raise MonotonicityError(
-                f"objective rose from {previous_total} to {total} at sweep {sweep}"
-            )
-        trace.append(
-            SweepRecord(
-                sweep=sweep,
-                total_objective=total,
-                layer_errors=tuple(t.divergence for t in per_layer),
-                logdet_terms=_conditioning_diagnostics(state, config.delta),
-                max_residual=_max_row_simplex_residual(state),
-                seconds=time.perf_counter() - started,
-            )
-        )
-        if config.rel_obj_tol > 0 and np.isfinite(previous_total):
-            if abs(previous_total - total) <= config.rel_obj_tol * max(1.0, abs(previous_total)):
-                break
-        previous_total = total
-    return state, trace
+    return run_sweeps(X, config, warm, DeepBlocks(config))

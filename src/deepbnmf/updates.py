@@ -19,9 +19,7 @@ positive initialization rules out multiplicative zero-locking.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,33 +40,6 @@ def epsilon_floor(M: np.ndarray, eps: float) -> np.ndarray:
     if not eps > 0:
         raise ConfigError("eps must be positive")
     return np.maximum(np.asarray(M, dtype=float), eps)
-
-
-def thread_count() -> int:
-    """Worker count for the row-parallel kernels (DBNMF_THREADS, default 1)."""
-    raw = os.environ.get("DBNMF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"DBNMF_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _rowwise(fn, *mats):
-    """Apply an elementwise matrix transform over row blocks, possibly threaded.
-
-    Valid only for transforms with no cross-row coupling, so the result is
-    bitwise identical to the sequential evaluation.
-    """
-    n = thread_count()
-    rows = mats[0].shape[0]
-    if n <= 1 or rows < 2 * n:
-        return fn(*mats)
-    bounds = np.linspace(0, rows, n + 1, dtype=int)
-    chunks = [tuple(m[a:b] for m in mats) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        parts = list(pool.map(lambda args: fn(*args), chunks))
-    return np.vstack(parts)
 
 
 def _require_positive(name, M):
@@ -326,21 +297,21 @@ def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS):
     if b == 1.0:
         B = Wt * ((Y / V) @ H.T)
         A = H.sum(axis=1)[None, :] - lam * np.log(Wb)
-        W = _rowwise(lambda Bc, Ac: kl_inner_cells(Bc, Ac, lam), B, A)
+        W = kl_inner_cells(B, A, lam)
     elif b == 1.5:
         sqv = np.sqrt(V)
         A = Wt ** -0.5 * (sqv @ H.T) + 2.0 * lam
         B = Wt ** 0.5 * ((Y / sqv) @ H.T)
         C = 2.0 * lam * np.sqrt(Wb)
-        W = _rowwise(three_half_inner_cells, A, B, C)
+        W = three_half_inner_cells(A, B, C)
     elif b == 0.0:
         A = Wt ** 2 * ((Y / V ** 2) @ H.T)
         C = (1.0 / V) @ H.T + lam / Wb
-        W = _rowwise(lambda a, c: is_inner_cells(a, c, lam), A, C)
+        W = is_inner_cells(A, C, lam)
     else:  # b == 0.5
         cbar = (V ** -0.5) @ H.T + 2.0 * lam * Wb ** -0.5
         abar = Wt ** 1.5 * ((Y / V ** 1.5) @ H.T)
-        W = _rowwise(lambda ab, cb: half_inner_cells(ab, cb, lam), abar, cbar)
+        W = half_inner_cells(abar, cbar, lam)
     return epsilon_floor(W, eps)
 
 

@@ -42,8 +42,7 @@ class TestFactorize:
         assert run_command(factorize_args(out)) == 0
         manifest = (out / "manifest.txt").read_text()
         for key in ("rho = 100.0", "admm_tol = 1e-06", "delta = 0.1",
-                    "eps_floor = 2.2204460492503131e-16", "seed = 1",
-                    "threads = 1"):
+                    "eps_floor = 2.2204460492503131e-16", "seed = 1"):
             assert key in manifest, key
         lam_line = [l for l in manifest.splitlines() if l.startswith("lambda = ")][0]
         values = [float(v) for v in lam_line.split(" = ")[1].split(",")]

@@ -89,7 +89,7 @@ class TestSimplexWCells:
         grid = np.linspace(-20.0, 20.0, 400)
         prev = None
         for mu in grid:
-            W = simplex_w_cells(W_tilde, C, S, T, np.array([mu, mu]))
+            W, _ = simplex_w_cells(W_tilde, C, S, T, np.array([mu, mu]))
             assert np.all(W >= 0)
             if prev is not None:
                 assert np.all(W <= prev + 1e-12)
@@ -100,7 +100,7 @@ class TestSimplexWCells:
         C = np.array([[5.0, -5.0], [0.0, 1.0], [2.0, -3.0]])
         T = np.ones((3, 2))
         S = np.zeros((3, 2))
-        W = simplex_w_cells(W_tilde, C, S, T, np.zeros(2))
+        W, _ = simplex_w_cells(W_tilde, C, S, T, np.zeros(2))
         assert np.all(W >= 0)
 
 

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepbnmf.errors import DomainError, NoRootError, PreconditionError
+from deepbnmf.errors import DomainError, NoRootError
 from deepbnmf.scalars import (
     Bracket,
-    cubic_one_real_root,
-    expand_bracket,
     lambert_w0,
     lambert_w0_exp,
     lambert_w0_from_log,
@@ -85,30 +83,6 @@ class TestLambertW:
         assert abs(w * np.exp(w) - x) <= 1e-12 * max(1.0, x)
 
 
-class TestCubic:
-    def test_pure_cube(self):
-        assert cubic_one_real_root(0.0, -8.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_three_real_roots_rejected(self):
-        with pytest.raises(PreconditionError):
-            cubic_one_real_root(-1.0, 0.0)
-
-    def test_known_root(self):
-        # z = 1 solves z^3 + z - 2 = 0; discriminant 1 + 1/27 > 0.
-        assert 0.25 * 4.0 + 1.0 / 27.0 > 0
-        assert cubic_one_real_root(1.0, -2.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_residual_bound_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a = rng.uniform(-3, 3)
-            b = rng.uniform(-3, 3)
-            if 0.25 * b * b + a ** 3 / 27.0 <= 0:
-                continue
-            z = cubic_one_real_root(a, b)
-            assert abs(z ** 3 + a * z + b) <= 1e-9 * max(1.0, abs(b))
-
-
 class TestMonotoneSolve:
     def test_linear(self):
         root = solve_monotone_scalar(lambda x: x - 3.0, Bracket(0.0, 10.0), 1e-12)
@@ -151,35 +125,19 @@ class TestMonotoneSolve:
 
         def colsum(mu):
             mu_vec = np.array([mu, 0.0])
-            return float(simplex_w_cells(W_tilde, C, S, T, mu_vec)[:, j].sum()) - 1.0
+            return float(simplex_w_cells(W_tilde, C, S, T, mu_vec)[0][:, j].sum()) - 1.0
 
         grid = np.linspace(-50.0, 50.0, 20001)
         values = np.array([colsum(g) for g in grid])
         signs = np.sign(values)
         crossings = np.flatnonzero(np.diff(signs) != 0)
         assert len(crossings) == 1
-        bracket = expand_bracket(colsum, 0.0)
-        root = solve_monotone_scalar(colsum, bracket, 1e-10)
+        root = solve_monotone_scalar(colsum, Bracket(-50.0, 50.0), 1e-10)
         assert abs(colsum(root)) <= 1e-10
         assert grid[crossings[0]] <= root <= grid[crossings[0] + 1]
 
 
 class TestExpandBracket:
-    def test_two_sided(self):
-        b = expand_bracket(lambda x: x - 37.0, 0.0)
-        assert b.lo < 37.0 < b.hi
-
-    def test_respects_lower_limit(self):
-        f = lambda x: 1.0 / x - 2.1  # root just below 0.5, pole at 0
-        b = expand_bracket(f, 1.0, lower_limit=0.0)
-        assert 0.0 < b.lo <= 1.0 / 2.1 <= b.hi
-        root = solve_monotone_scalar(f, b, 1e-12)
-        assert root == pytest.approx(1.0 / 2.1, abs=1e-10)
-
-    def test_no_root_errors(self):
-        with pytest.raises(NoRootError):
-            expand_bracket(lambda x: 1.0 + x * x, 0.0, max_iter=30)
-
     def test_bad_bracket_rejected(self):
         with pytest.raises(DomainError):
             Bracket(1.0, 1.0)

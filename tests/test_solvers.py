@@ -3,10 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
+import deepbnmf.solvers
 from conftest import exact_two_layer_chain
 from deepbnmf.divergence import beta_div_matrix
-from deepbnmf.errors import ConfigError
-from deepbnmf.model import DeepState, LayerSpec, SolverConfig
+from deepbnmf.errors import ConfigError, DimensionError, MonotonicityError
+from deepbnmf.minvol import minvol_factorize
+from deepbnmf.model import (
+    COLUMN_SIMPLEX_W,
+    DeepState,
+    LayerSpec,
+    ROW_SIMPLEX_H,
+    SolverConfig,
+    init_random,
+)
 from deepbnmf.solvers import deep_factorize, multilayer_factorize
 
 DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
@@ -160,3 +169,97 @@ class TestDeep:
             warnings.simplefilter("ignore", RuntimeWarning)
             _, trace = deep_factorize(X, cfg, warm=warm)
         assert len(trace) < 50
+
+
+SOLVERS = {
+    "deep": (deep_factorize, ROW_SIMPLEX_H, (0.0, 0.0)),
+    "minvol": (minvol_factorize, COLUMN_SIMPLEX_W, (0.2, 0.05)),
+}
+
+
+def driver_data():
+    return np.random.default_rng(21).uniform(0.05, 1.0, (10, 8))
+
+
+def driver_layers(model, lams=(None, None)):
+    alphas = SOLVERS[model][2]
+    return [LayerSpec(4, lam=lams[0], alpha=alphas[0]), LayerSpec(2, lam=lams[1], alpha=alphas[1])]
+
+
+def driver_solve(model, X, warm=None, lams=(None, None), **overrides):
+    settings = {"max_sweeps": 6, "warm_start_sweeps": 4, "seed": 3, **overrides}
+    cfg = SolverConfig(beta=1.0, layers=driver_layers(model, lams), **settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return SOLVERS[model][0](X, cfg, warm=warm)
+
+
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+class TestSweepDriver:
+    def test_explicit_warm_resumes_a_run(self, model):
+        X = driver_data()
+        lams = (1.0, 0.5)
+        full_state, full = driver_solve(model, X, lams=lams)
+        half_state, _ = driver_solve(model, X, lams=lams, max_sweeps=3)
+        state, resumed = driver_solve(model, X, warm=half_state, lams=lams, max_sweeps=3)
+        assert np.allclose(resumed.objectives(), full.objectives()[3:], rtol=1e-9, atol=0)
+        for a, b in zip(state.W + state.H, full_state.W + full_state.H):
+            assert np.allclose(a, b, rtol=1e-8, atol=1e-14)
+
+    def test_warm_factors_must_fit_x(self, model):
+        warm, _ = driver_solve(model, driver_data())
+        with pytest.raises(DimensionError):
+            driver_solve(model, np.ones((5, 5)), warm=warm)
+
+    def test_no_warm_sweeps_starts_at_random_init(self, model, monkeypatch):
+        X = driver_data()
+
+        def no_multilayer(*args, **kwargs):
+            raise AssertionError("warm_start_sweeps=0 must skip the multilayer run")
+
+        monkeypatch.setattr(deepbnmf.solvers, "multilayer_factorize", no_multilayer)
+        state, trace = driver_solve(model, X, warm_start_sweeps=0)
+        init = init_random(X, driver_layers(model), 3, SOLVERS[model][1])
+        warm_state, warm_trace = driver_solve(model, X, warm=init)
+        assert trace.objectives().tobytes() == warm_trace.objectives().tobytes()
+        assert trace.lambdas == warm_trace.lambdas
+        for a, b in zip(state.W + state.H, warm_state.W + warm_state.H):
+            assert np.array_equal(a, b)
+
+    def test_rel_obj_tol_stops_early(self, model):
+        _, trace = driver_solve(model, driver_data(), max_sweeps=200, rel_obj_tol=1e-3)
+        obj = trace.objectives()
+        assert 2 <= len(obj) < 200
+        assert abs(obj[-2] - obj[-1]) <= 1e-3 * max(1.0, abs(obj[-2]))
+
+    def test_rising_objective_raises(self, model, monkeypatch):
+        real = deepbnmf.solvers.eval_objective
+        calls = []
+
+        def rising(state, config, kind):
+            total, per_layer = real(state, config, kind)
+            calls.append(total)
+            return total + len(calls), per_layer
+
+        monkeypatch.setattr(deepbnmf.solvers, "eval_objective", rising)
+        with pytest.raises(MonotonicityError):
+            driver_solve(model, driver_data(), lams=(1.0, 0.5))
+        assert len(calls) == 2
+
+    def test_multilayer_warm_start_gets_run_settings(self, model, monkeypatch):
+        real = deepbnmf.solvers.multilayer_factorize
+        seen = []
+
+        def spy(X, config):
+            seen.append(config)
+            return real(X, config)
+
+        monkeypatch.setattr(deepbnmf.solvers, "multilayer_factorize", spy)
+        driver_solve(model, driver_data(), rel_obj_tol=1e-4)
+        assert [(c.max_sweeps, c.rel_obj_tol) for c in seen] == [(4, 1e-4)]
+
+    def test_mixed_lambdas_fill_only_unset_layers(self, model):
+        X = driver_data()
+        _, auto = driver_solve(model, X)
+        _, mixed = driver_solve(model, X, lams=(7.0, None))
+        assert mixed.lambdas == [7.0, auto.lambdas[1]]

@@ -266,22 +266,3 @@ class TestHPlain:
         W, H, Y = random_instance(9, simplex_rows=False)
         H_new = update_h_plain(W, Y, H, 1.0, eps=1e-300)
         assert beta_div_matrix(Y, W @ H_new, 1.0) <= beta_div_matrix(Y, W @ H, 1.0)
-
-
-class TestRowParallel:
-    def test_bitwise_equal_to_sequential(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        W = rng.uniform(0.2, 1.0, (16, 3))
-        H = rng.uniform(0.2, 1.0, (3, 9))
-        H /= H.sum(axis=1, keepdims=True)
-        Y = rng.uniform(0.05, 2.0, (16, 9))
-        W_bar = rng.uniform(0.2, 1.0, W.shape)
-        ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W_bar, lambda_ratio=0.9)
-        results = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("DBNMF_THREADS", threads)
-            results[threads] = {
-                beta: update_w_inner(ctx, beta) for beta in INNER_BETAS
-            }
-        for beta in INNER_BETAS:
-            assert np.array_equal(results["1"][beta], results["4"][beta])
