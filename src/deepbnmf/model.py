@@ -190,6 +190,21 @@ class ConvergenceTrace:
         return np.array([r.max_residual for r in self.records])
 
 
+def check_data(X) -> np.ndarray:
+    """The data matrix as a contiguous float array, after the input checks.
+
+    ``X`` must be 2-D, finite, entrywise nonnegative and not all zero.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionError("X must be a 2-D matrix")
+    if np.any(X < 0) or not np.all(np.isfinite(X)):
+        raise DomainError("X must be finite and entrywise nonnegative")
+    if not np.any(X > 0):
+        raise DegenerateInputError("X is all zero")
+    return X
+
+
 def init_random(
     X: np.ndarray,
     layers: Sequence[LayerSpec],
@@ -202,13 +217,7 @@ def init_random(
     rows of H or columns of W are normalized to sum to one.  The draw order
     makes the state a pure function of the seed.
     """
-    X = np.ascontiguousarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionError("X must be a 2-D matrix")
-    if np.any(X < 0) or not np.all(np.isfinite(X)):
-        raise DomainError("X must be finite and entrywise nonnegative")
-    if not np.any(X > 0):
-        raise DegenerateInputError("X is all zero")
+    X = check_data(X)
     if constraint not in (ROW_SIMPLEX_H, COLUMN_SIMPLEX_W):
         raise ConfigError(f"unknown constraint {constraint!r}")
     m, n = X.shape

@@ -22,6 +22,10 @@ from .errors import DomainError, NoRootError
 # through the log-domain Lambert solver.
 EXP_OVERFLOW_LIMIT = 700.0
 
+# Halley steps below a few ulps of w freeze an entry.  One ulp is too tight:
+# an entry can settle into a one-ulp two-cycle and never stop.
+_STEP_ULPS = 4.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -46,7 +50,7 @@ def _halley_direct(w, x):
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         step = np.where(active, f / denom, 0.0)
         w = w - step
-        active = active & (np.abs(step) > 1e-16 * (1.0 + np.abs(w)))
+        active = active & (np.abs(step) > _STEP_ULPS * (1.0 + np.abs(w)))
         if not active.any():
             break
     return w
@@ -80,16 +84,19 @@ def lambert_w0_from_log(log_x):
 
     Solves ``w + log(w) = log_x``, which is the update equation in the log
     domain; intended for arguments too large to exponentiate.  For
-    ``log_x < 1`` it defers to :func:`lambert_w0` (no overflow possible).
+    ``log_x < 1`` it defers to :func:`lambert_w0` (no overflow possible);
+    ``log_x = +inf`` gives ``+inf``, the limit of W(e^t).
     """
     arr = np.asarray(log_x, dtype=float)
     if arr.size and np.any(np.isnan(arr)):
         raise DomainError("lambert_w0_from_log requires non-NaN input")
     small = arr < 1.0
+    infinite = arr == np.inf
     out = np.empty(arr.shape, dtype=float)
     if small.any():
         out[small] = np.asarray(lambert_w0(np.exp(arr[small])))
-    big = ~small
+    out[infinite] = np.inf
+    big = ~(small | infinite)
     if big.any():
         lx = arr[big]
         # w ~= lx - log(lx) is the standard asymptotic starting point.
@@ -102,7 +109,7 @@ def lambert_w0_from_log(log_x):
             gpp = -1.0 / (w * w)
             step = np.where(active, 2.0 * g * gp / (2.0 * gp * gp - g * gpp), 0.0)
             w = w - step
-            active = active & (np.abs(step) > 1e-16 * (1.0 + np.abs(w)))
+            active = active & (np.abs(step) > _STEP_ULPS * (1.0 + np.abs(w)))
             if not active.any():
                 break
         out[big] = w
@@ -112,7 +119,10 @@ def lambert_w0_from_log(log_x):
 
 
 def lambert_w0_exp(t):
-    """Overflow-safe ``lambert_w0(exp(t))`` for real ``t`` (``-inf`` allowed)."""
+    """Overflow-safe ``lambert_w0(exp(t))`` for real ``t``.
+
+    ``t = -inf`` gives 0 and ``t = +inf`` gives ``+inf``.
+    """
     arr = np.asarray(t, dtype=float)
     out = np.empty(arr.shape, dtype=float)
     direct = arr <= EXP_OVERFLOW_LIMIT

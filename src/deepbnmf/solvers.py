@@ -26,6 +26,7 @@ from .model import (
     SweepRecord,
     auto_balance_weights,
     _column_normalize_chain,
+    check_data,
     eval_objective,
     init_random,
     logdet_gram,
@@ -170,7 +171,7 @@ def run_sweeps(
     column_w = blocks.constraint == COLUMN_SIMPLEX_W
     if warm is not None:
         state = DeepState(
-            X=np.asarray(X, dtype=float),
+            X=check_data(X),
             W=[w.copy() for w in warm.W],
             H=[h.copy() for h in warm.H],
         )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deepbnmf.scalars
 from deepbnmf.errors import DomainError, NoRootError
 from deepbnmf.scalars import (
     Bracket,
@@ -70,6 +71,24 @@ class TestLambertW:
         assert np.all(np.isfinite(finite))
         assert finite[0] == pytest.approx(lambert_w0(1.0), abs=1e-12)
 
+    def test_log_domain_infinity(self):
+        assert lambert_w0_from_log(np.inf) == np.inf
+        w = lambert_w0_from_log(np.array([np.inf, 5000.0]))
+        assert w[0] == np.inf
+        assert w[1] == lambert_w0_from_log(5000.0)
+
+    def test_exp_entry_point_infinity(self):
+        w = lambert_w0_exp(np.array([np.inf, 1.0]))
+        assert w[0] == np.inf
+        assert w[1] == lambert_w0_exp(1.0)
+        assert lambert_w0_exp(np.inf) == np.inf
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            lambert_w0_from_log(np.array([np.nan, 1.0]))
+        with pytest.raises(DomainError):
+            lambert_w0_exp(np.array([np.inf, np.nan]))
+
     def test_negative_input_rejected(self):
         with pytest.raises(DomainError):
             lambert_w0(-1e-9)
@@ -81,6 +100,76 @@ class TestLambertW:
     def test_identity_property(self, x):
         w = lambert_w0(x)
         assert abs(w * np.exp(w) - x) <= 1e-12 * max(1.0, x)
+
+
+class _CountingNumpy:
+    """Stands in for numpy inside ``deepbnmf.scalars`` and counts calls."""
+
+    def __init__(self, counted):
+        self.calls = dict.fromkeys(counted, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestHalleyIterations:
+    # One np.exp (direct loop) or one np.log (log-domain loop) per Halley
+    # iteration.  These grids hold entries that settle into a one-ulp
+    # two-cycle; they must still stop well before the 50-iteration cap.
+    def test_direct_loop_stops_at_ulp_steps(self, monkeypatch):
+        proxy = _CountingNumpy(["exp"])
+        monkeypatch.setattr(deepbnmf.scalars, "np", proxy)
+        lambert_w0(np.logspace(0, 8, 2001))
+        assert proxy.calls["exp"] <= 8
+
+    def test_log_domain_loop_stops_at_ulp_steps(self, monkeypatch):
+        proxy = _CountingNumpy(["log"])
+        monkeypatch.setattr(deepbnmf.scalars, "np", proxy)
+        lambert_w0_from_log(np.linspace(1.0, 700.0, 2001))
+        assert proxy.calls["log"] <= 9
+
+
+def _concat_chunks(fn, values, cuts):
+    parts = np.split(values, sorted(set(cuts)))
+    return np.concatenate([np.asarray(fn(p)) for p in parts])
+
+
+class TestLambertProperties:
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=60),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_direct_independent_of_chunking(self, xs, cuts):
+        values = np.array(xs)
+        whole = lambert_w0(values)
+        assert whole.tobytes() == _concat_chunks(lambert_w0, values, cuts).tobytes()
+        assert whole.tobytes() == np.array([lambert_w0(v) for v in xs]).tobytes()
+
+    @given(
+        st.lists(st.floats(min_value=-800.0, max_value=1e12), min_size=1, max_size=60),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_log_domain_independent_of_chunking(self, lxs, cuts):
+        values = np.array(lxs)
+        whole = lambert_w0_from_log(values)
+        assert whole.tobytes() == _concat_chunks(lambert_w0_from_log, values, cuts).tobytes()
+        assert whole.tobytes() == np.array([lambert_w0_from_log(v) for v in lxs]).tobytes()
+
+    @given(st.floats(min_value=1.0, max_value=1e12))
+    @settings(max_examples=200, deadline=None)
+    def test_log_domain_identity(self, lx):
+        w = lambert_w0_from_log(lx)
+        assert abs(w + np.log(w) - lx) <= 1e-12 * max(1.0, lx)
 
 
 class TestMonotoneSolve:

@@ -6,7 +6,7 @@ import pytest
 import deepbnmf.solvers
 from conftest import exact_two_layer_chain
 from deepbnmf.divergence import beta_div_matrix
-from deepbnmf.errors import ConfigError, DimensionError, MonotonicityError
+from deepbnmf.errors import ConfigError, DimensionError, DomainError, MonotonicityError
 from deepbnmf.minvol import minvol_factorize
 from deepbnmf.model import (
     COLUMN_SIMPLEX_W,
@@ -210,6 +210,17 @@ class TestSweepDriver:
         warm, _ = driver_solve(model, driver_data())
         with pytest.raises(DimensionError):
             driver_solve(model, np.ones((5, 5)), warm=warm)
+
+    @pytest.mark.parametrize("bad", ["nan", "negative"])
+    def test_warm_start_checks_x(self, model, bad):
+        X = driver_data()
+        warm, _ = driver_solve(model, X)
+        if bad == "nan":
+            X[2, 3] = np.nan
+        else:
+            X = -X
+        with pytest.raises(DomainError, match="X must be finite and entrywise nonnegative"):
+            driver_solve(model, X, warm=warm)
 
     def test_no_warm_sweeps_starts_at_random_init(self, model, monkeypatch):
         X = driver_data()
