@@ -1,4 +1,9 @@
-"""Deep NMF with beta-divergences and minimum-volume regularization."""
+"""Deep NMF with beta-divergences and minimum-volume regularization.
+
+The package namespace holds the solvers, their configuration and results,
+file I/O, diagnostics and errors; the kernels stay in their own modules
+(``deepbnmf.updates``, ``deepbnmf.scalars``, ``deepbnmf.minvol``, ...).
+"""
 
 from .dataio import (
     read_matrix,
@@ -7,13 +12,7 @@ from .dataio import (
     write_mosaic_pgm,
     write_trace,
 )
-from .divergence import (
-    INFINITE_DIVERGENCE,
-    SUPPORTED_BETAS,
-    beta_div_matrix,
-    beta_div_scalar,
-    decomposition_terms,
-)
+from .divergence import SUPPORTED_BETAS, beta_div_matrix
 from .errors import (
     ComparisonError,
     ConfigError,
@@ -33,43 +32,8 @@ from .metrics import (
     hoyer_sparsity,
     ssc_row_zero_check,
 )
-from .minvol import (
-    AdmmRun,
-    AdmmState,
-    LogDetContext,
-    admm_solve_w,
-    admm_w_step,
-    build_logdet_context,
-    logdet_majorizer,
-    minvol_factorize,
-    z_min_step,
-)
-from .model import (
-    COLUMN_SIMPLEX_W,
-    ConvergenceTrace,
-    DeepState,
-    LayerSpec,
-    ROW_SIMPLEX_H,
-    SolverConfig,
-    auto_balance_weights,
-    eval_objective,
-    init_random,
-    validate_state,
-)
-from .scalars import (
-    Bracket,
-    lambert_w0,
-    lambert_w0_from_log,
-    solve_monotone_scalar,
-)
+from .minvol import minvol_factorize
+from .model import ConvergenceTrace, DeepState, LayerSpec, SolverConfig
 from .solvers import deep_factorize, multilayer_factorize
-from .updates import (
-    InnerWContext,
-    epsilon_floor,
-    update_h_simplex,
-    update_w_inner,
-    update_w_terminal,
-)
-from .verification import brute_force_scalar_min, check_majorizer
 
 __version__ = "0.1.0"

@@ -31,6 +31,8 @@ def hoyer_sparsity(x) -> float:
     v = np.asarray(x, dtype=float).ravel()
     if v.size < 2:
         raise DomainError("hoyer_sparsity needs at least 2 entries")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("hoyer_sparsity requires finite entries")
     if np.any(v < 0):
         raise DomainError("hoyer_sparsity is defined for nonnegative vectors")
     peak = float(v.max())
@@ -143,13 +145,6 @@ class SscReport:
     def all_pass(self) -> bool:
         return all(r.passes for r in self.rows) and not self.contained_pairs
 
-    def to_csv(self) -> str:
-        lines = ["row,zero_count,required,passes"]
-        for r in self.rows:
-            lines.append(f"{r.row},{r.zero_count},{r.required},{int(r.passes)}")
-        lines.append("# contained_pairs: " + ";".join(f"{i}<={j}" for i, j in self.contained_pairs))
-        return "\n".join(lines) + "\n"
-
 
 def ssc_row_zero_check(H: np.ndarray, tol: float = None) -> SscReport:
     """Necessary-condition diagnostic for sufficient scatteredness of H.
@@ -163,6 +158,8 @@ def ssc_row_zero_check(H: np.ndarray, tol: float = None) -> SscReport:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2:
         raise DomainError("H must be a matrix")
+    if not np.all(np.isfinite(H)):
+        raise DomainError("H must be finite")
     r = H.shape[0]
     if tol is None:
         tol = 1e-9 * float(H.max()) if H.size else 0.0

@@ -32,14 +32,7 @@ from .solvers import run_sweeps
 # Not called here; perfbench/tracer.py wraps these names on this module.
 from .model import auto_balance_weights, eval_objective  # noqa: F401
 from .solvers import multilayer_factorize  # noqa: F401
-from .updates import (
-    InnerWContext,
-    _newton_bisection_vec,
-    _expand_hi,
-    _expand_lo,
-    epsilon_floor,
-    update_h_plain,
-)
+from .updates import InnerWContext, epsilon_floor, solve_multipliers, update_h_plain
 
 _COLUMN_SUM_TOL = 1e-12
 
@@ -118,11 +111,7 @@ def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL):
         w, root = simplex_w_cells(W_tilde, C, S, T, mu)
         return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
 
-    f_only = lambda mu: f_df(mu)[0]
-    ones = np.ones(W_tilde.shape[1])
-    hi = _expand_hi(f_only, ones)
-    lo = _expand_lo(f_only, -ones)
-    mu = _newton_bisection_vec(f_df, lo, hi, np.zeros_like(ones), tol)
+    mu = solve_multipliers(f_df, W_tilde.shape[1], tol)
     W, _ = simplex_w_cells(W_tilde, C, S, T, mu)
     return W
 

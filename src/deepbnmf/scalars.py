@@ -1,7 +1,7 @@
-"""Scalar numerical kernels: Lambert W and safeguarded monotone roots.
+"""Scalar numerical kernels: the principal branch of the Lambert W function.
 
-These routines back every closed-form multiplicative update in the package,
-so they aim for near machine precision rather than speed-at-any-cost.
+These routines back the closed-form KL updates of the package, so they aim
+for near machine precision rather than speed-at-any-cost.
 
 References
 ----------
@@ -11,12 +11,9 @@ R.M. Corless, G.H. Gonnet, D.E.G. Hare, D.J. Jeffrey, and D.E. Knuth,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
-from .errors import DomainError, NoRootError
+from .errors import DomainError
 
 # Arguments of exp() above this are treated as overflow-prone and routed
 # through the log-domain Lambert solver.
@@ -25,18 +22,6 @@ EXP_OVERFLOW_LIMIT = 700.0
 # Halley steps below a few ulps of w freeze an entry.  One ulp is too tight:
 # an entry can settle into a one-ulp two-cycle and never stop.
 _STEP_ULPS = 4.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Closed interval [lo, hi] known to contain a root."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def _halley_direct(w, x):
@@ -134,53 +119,3 @@ def lambert_w0_exp(t):
         return float(out)
     return out
 
-
-def solve_monotone_scalar(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = 1e-12,
-    df: Optional[Callable[[float], float]] = None,
-    x0: Optional[float] = None,
-    max_iter: int = 200,
-) -> float:
-    """Root of a monotone scalar function, Newton safeguarded by bisection.
-
-    ``f`` must change sign across ``bracket``.  Newton steps (analytic when
-    ``df`` is given, secant otherwise) are accepted only if they stay inside
-    the current bracket; anything else falls back to the midpoint.  Returns
-    ``x`` with ``|f(x)| <= tol``.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    if abs(flo) <= tol:
-        return lo
-    if abs(fhi) <= tol:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise NoRootError(f"no sign change on [{lo}, {hi}]")
-    x = 0.5 * (lo + hi) if x0 is None else float(np.clip(x0, lo, hi))
-    x_prev, f_prev = lo, flo
-    fx = f(x)
-    for _ in range(max_iter):
-        if abs(fx) <= tol:
-            return x
-        if np.sign(fx) == np.sign(flo):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        if df is not None:
-            d = df(x)
-        else:
-            d = (fx - f_prev) / (x - x_prev) if x != x_prev else 0.0
-        x_prev, f_prev = x, fx
-        if d != 0 and np.isfinite(d):
-            candidate = x - fx / d
-        else:
-            candidate = np.nan
-        if not (lo < candidate < hi) or not np.isfinite(candidate):
-            candidate = 0.5 * (lo + hi)
-        x = candidate
-        fx = f(x)
-    raise NoRootError(f"did not reach |f| <= {tol} in {max_iter} iterations")

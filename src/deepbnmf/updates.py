@@ -27,7 +27,7 @@ import numpy as np
 from .divergence import check_beta, decomposition_terms, mu_exponent
 from .errors import ConfigError, DimensionError, NoRootError, PreconditionError
 from .model import MACHINE_EPS
-from .scalars import Bracket, lambert_w0_exp, solve_monotone_scalar
+from .scalars import lambert_w0_exp
 
 # Row sums are solved well below the documented 1e-10 contract so that the
 # feasibility leak cannot eat into the solver's monotonicity slack.
@@ -47,18 +47,48 @@ def _require_positive(name, M):
         raise PreconditionError(f"{name} must be entrywise positive")
 
 
-def _newton_bisection_vec(eval_f, lo, hi, mu0, tol, max_iter=200):
-    """Componentwise roots of decreasing functions with f(lo) > 0 > f(hi).
+def solve_multipliers(f_df, count, tol, lower_limit=None):
+    """Roots of ``count`` decreasing functions, one multiplier each.
 
-    ``eval_f(mu)`` returns (f, df) arrays over all components at once.
-    Newton candidates outside the shrinking bracket fall back to bisection.
+    ``f_df(mu)`` returns the (f, df) arrays of all components at once.  The
+    bracket starts at [-1, 1]: its upper end moves up by doubling steps until
+    f < 0; its lower end moves down the same way until f > 0 or, when a
+    per-component ``lower_limit`` bounds the domain, halves its gap above
+    that limit.  Newton candidates outside the shrinking bracket fall back to
+    bisection; components with |f| <= tol are frozen.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    mu = np.where((mu0 > lo) & (mu0 < hi), mu0, 0.5 * (lo + hi))
-    done = np.zeros(mu.shape, dtype=bool)
-    for _ in range(max_iter):
-        f, df = eval_f(mu)
+    hi = np.ones(count)
+    step = np.ones(count)
+    for _ in range(80):
+        grow = f_df(hi)[0] >= 0
+        if not grow.any():
+            break
+        hi = np.where(grow, hi + step, hi)
+        step = np.where(grow, 2.0 * step, step)
+    else:
+        raise NoRootError("upper bracket expansion failed")
+    lo = -np.ones(count)
+    step = np.ones(count)
+    if lower_limit is not None:
+        step = np.maximum(lo - lower_limit, 1.0)
+        lo = lower_limit + step
+    for _ in range(200):
+        grow = f_df(lo)[0] <= 0
+        if not grow.any():
+            break
+        if lower_limit is None:
+            lo = np.where(grow, lo - step, lo)
+            step = np.where(grow, 2.0 * step, step)
+        else:
+            step = np.where(grow, 0.5 * step, step)
+            lo = lower_limit + step
+    else:
+        raise NoRootError("lower bracket expansion failed")
+
+    mu = np.where((lo < 0.0) & (hi > 0.0), 0.0, 0.5 * (lo + hi))
+    done = np.zeros(count, dtype=bool)
+    for _ in range(200):
+        f, df = f_df(mu)
         done = done | (np.abs(f) <= tol)
         if done.all():
             return mu
@@ -69,49 +99,12 @@ def _newton_bisection_vec(eval_f, lo, hi, mu0, tol, max_iter=200):
         bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
         step = np.where(bad, 0.5 * (lo + hi), newton)
         mu = np.where(done, mu, step)
-    f, _ = eval_f(mu)
+    f, _ = f_df(mu)
     if np.all(np.abs(f) <= _ROW_SUM_CONTRACT):
         return mu
     raise NoRootError(
         f"multiplier solve stalled; worst residual {np.max(np.abs(f))}"
     )
-
-
-def _expand_hi(f_only, hi0, max_iter=80):
-    hi = np.array(hi0, dtype=float)
-    step = np.ones_like(hi)
-    for _ in range(max_iter):
-        f = f_only(hi)
-        grow = f >= 0
-        if not grow.any():
-            return hi
-        hi = np.where(grow, hi + step, hi)
-        step = np.where(grow, 2.0 * step, step)
-    raise NoRootError("upper bracket expansion failed")
-
-
-def _expand_lo(f_only, lo0, lower_limit=None, max_iter=200):
-    lo = np.array(lo0, dtype=float)
-    if lower_limit is None:
-        step = np.ones_like(lo)
-        for _ in range(max_iter):
-            f = f_only(lo)
-            grow = f <= 0
-            if not grow.any():
-                return lo
-            lo = np.where(grow, lo - step, lo)
-            step = np.where(grow, 2.0 * step, step)
-    else:
-        gap = np.maximum(lo - lower_limit, 1.0)
-        lo = lower_limit + gap
-        for _ in range(max_iter):
-            f = f_only(lo)
-            grow = f <= 0
-            if not grow.any():
-                return lo
-            gap = np.where(grow, 0.5 * gap, gap)
-            lo = lower_limit + gap
-    raise NoRootError("lower bracket expansion failed")
 
 
 def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
@@ -235,11 +228,7 @@ def _h_simplex_general(W, Y, H_tilde, V, b):
         h, slope = h_and_slope(mu)
         return h.sum(axis=1) - 1.0, slope.sum(axis=1)
 
-    f_only = lambda mu: f_df(mu)[0]
-    ones = np.ones(int(alive.sum()))
-    hi = _expand_hi(f_only, ones)
-    lo = _expand_lo(f_only, -ones, lower_limit=lower_limit)
-    mu = _newton_bisection_vec(f_df, lo, hi, np.zeros_like(ones), _ROW_SUM_TOL)
+    mu = solve_multipliers(f_df, int(alive.sum()), _ROW_SUM_TOL, lower_limit)
     H[alive], _ = h_and_slope(mu)
     return H, dead
 
@@ -351,42 +340,20 @@ def half_inner_cells(abar, cbar, lam):
     """Positive root of cbar*w^{3/2} - 2*lam*w - abar = 0 via the depressed cubic.
 
     Substituting x = sqrt(w) gives x^3 + p x^2 + r = 0 with p = -2*lam/cbar
-    and r = -abar/cbar; shifting x = z - p/3 yields z^3 + a z + b = 0 whose
-    discriminant is positive whenever abar > 0, so the Cardano sum of cube
-    roots is the unique real root.  Cells with a nonpositive discriminant
-    (abar ~ 0) fall back to bracketed bisection on the original equation.
+    and r = -abar/cbar; shifting x = z - p/3 yields z^3 + a z + b = 0 with
+    a < 0, b < 0 and a nonnegative discriminant, so z = u + v is the unique
+    real root.  Taking v = -a/(3u) from Vieta's relation instead of a second
+    cube root makes every term of x positive, so the root is free of
+    cancellation, also at abar = 0 where the discriminant vanishes
+    (Numerical Recipes, section 5.6).
     """
-    bbar = 2.0 * lam
-    p = -bbar / cbar
-    rr = -abar / cbar
+    p = -2.0 * lam / cbar
     a = -(p * p) / 3.0
-    bq = (2.0 * p ** 3 + 27.0 * rr) / 27.0
+    bq = (2.0 * p ** 3 - 27.0 * (abar / cbar)) / 27.0
     disc = 0.25 * bq * bq + a ** 3 / 27.0
-    with np.errstate(invalid="ignore"):
-        s = np.sqrt(np.where(disc > 0, disc, 0.0))
-        z = np.cbrt(-0.5 * bq + s) + np.cbrt(-0.5 * bq - s)
-        x = z - p / 3.0
-    w = x * x
-    bad = ~(disc > 0)
-    if bad.any():
-        w = w.copy()
-        for idx in np.argwhere(bad):
-            w[tuple(idx)] = _half_inner_fallback(
-                float(abar[tuple(idx)]), float(cbar[tuple(idx)]), bbar
-            )
-    return w
-
-
-def _half_inner_fallback(abar, cbar, bbar):
-    g = lambda w: cbar * w ** 1.5 - bbar * w - abar
-    # g is negative from 0 through its minimum at w_turn, then increases
-    # through the unique root.
-    w_turn = (bbar / (1.5 * cbar)) ** 2
-    hi = max(2.0 * w_turn, 1.0)
-    while g(hi) <= 0:
-        hi *= 2.0
-    scale = abs(g(hi)) + abs(g(w_turn))
-    return solve_monotone_scalar(g, Bracket(w_turn, hi), tol=1e-11 * scale)
+    u = np.cbrt(-0.5 * bq + np.sqrt(np.maximum(disc, 0.0)))
+    x = u - a / (3.0 * u) - p / 3.0
+    return x * x
 
 
 def update_w_terminal(Y, W_tilde, H, beta, eps: float = MACHINE_EPS):

@@ -169,6 +169,17 @@ class TestCompareRenderMetrics:
         path = tmp_path / "H.csv"
         write_matrix(np.eye(3), path, "csv")
         assert run_command(["metrics", "--h-file", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("row,hoyer_sparsity")
-        assert "1,1," in out or "1," in out
+        assert capsys.readouterr().out == (
+            "row,hoyer_sparsity,zero_count,ssc_pass\n"
+            "0,1,2,1\n1,1,2,1\n2,1,2,1\n"
+            "# contained_pairs: \n"
+        )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_metrics_rejects_non_finite(self, tmp_path, capsys, bad):
+        path = tmp_path / "H.csv"
+        path.write_text(f"1,0,{bad}\n0,1,0\n")
+        assert run_command(["metrics", "--h-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err

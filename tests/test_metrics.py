@@ -37,6 +37,11 @@ class TestHoyer:
         with pytest.raises(DomainError):
             hoyer_sparsity([1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            hoyer_sparsity([1.0, 0.0, bad])
+
     @given(
         st.lists(
             st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)),
@@ -155,6 +160,13 @@ class TestSscCheck:
         assert all(r.zero_count == 2 for r in report.rows)
         assert all(r.passes for r in report.rows)
         assert report.contained_pairs == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # An infinite peak would make the default tolerance infinite and
+        # count every entry as zero, so every row would pass.
+        with pytest.raises(DomainError):
+            ssc_row_zero_check(np.array([[1.0, 0.0, bad], [0.0, 1.0, 0.0]]))
 
     def test_default_tolerance_scales_with_magnitude(self):
         H = np.array([[5.0, 5e-10], [5e-10, 5.0]])

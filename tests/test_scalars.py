@@ -5,13 +5,8 @@ from hypothesis import strategies as st
 
 import deepbnmf.scalars
 from deepbnmf.errors import DomainError, NoRootError
-from deepbnmf.scalars import (
-    Bracket,
-    lambert_w0,
-    lambert_w0_exp,
-    lambert_w0_from_log,
-    solve_monotone_scalar,
-)
+from deepbnmf.scalars import lambert_w0, lambert_w0_exp, lambert_w0_from_log
+from deepbnmf.updates import solve_multipliers
 
 
 def bisect_lambert(x, tol=1e-14):
@@ -173,32 +168,14 @@ class TestLambertProperties:
 
 
 class TestMonotoneSolve:
-    def test_linear(self):
-        root = solve_monotone_scalar(lambda x: x - 3.0, Bracket(0.0, 10.0), 1e-12)
-        assert root == pytest.approx(3.0, abs=1e-10)
-
-    def test_exponential(self):
-        root = solve_monotone_scalar(lambda x: np.exp(x) - 1.0, Bracket(-1.0, 1.0), 1e-12)
-        assert root == pytest.approx(0.0, abs=1e-10)
-
-    def test_with_analytic_derivative(self):
-        f = lambda x: x ** 3 - 2.0
-        df = lambda x: 3.0 * x ** 2
-        root = solve_monotone_scalar(f, Bracket(0.0, 4.0), 1e-13, df=df)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
-
-    def test_independent_of_initial_guess(self):
-        f = lambda x: np.tanh(x - 1.3) + 0.2
-        roots = [
-            solve_monotone_scalar(f, Bracket(-4.0, 4.0), 1e-12, x0=x0)
-            for x0 in (-3.9, 0.0, 1.0, 3.9)
-        ]
-        for r in roots[1:]:
-            assert abs(r - roots[0]) <= 2e-12
-
     def test_no_sign_change(self):
-        with pytest.raises(NoRootError):
-            solve_monotone_scalar(lambda x: x + 10.0, Bracket(0.0, 1.0), 1e-12)
+        positive = lambda mu: (1.0 + np.exp(-mu), -np.exp(-mu))
+        negative = lambda mu: (-1.0 - np.exp(mu), -np.exp(mu))
+        for f_df, lower_limit in [
+            (positive, None), (negative, None), (negative, np.array([-3.0]))
+        ]:
+            with pytest.raises(NoRootError):
+                solve_multipliers(f_df, 1, 1e-12, lower_limit)
 
     def test_column_sum_instance(self):
         # Column sums of the simplex W map are monotone in the multiplier;
@@ -216,17 +193,15 @@ class TestMonotoneSolve:
             mu_vec = np.array([mu, 0.0])
             return float(simplex_w_cells(W_tilde, C, S, T, mu_vec)[0][:, j].sum()) - 1.0
 
+        def f_df(mu):
+            w, root = simplex_w_cells(W_tilde, C, S, T, mu)
+            return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
+
         grid = np.linspace(-50.0, 50.0, 20001)
         values = np.array([colsum(g) for g in grid])
         signs = np.sign(values)
         crossings = np.flatnonzero(np.diff(signs) != 0)
         assert len(crossings) == 1
-        root = solve_monotone_scalar(colsum, Bracket(-50.0, 50.0), 1e-10)
+        root = solve_multipliers(f_df, 2, 1e-10)[j]
         assert abs(colsum(root)) <= 1e-10
         assert grid[crossings[0]] <= root <= grid[crossings[0] + 1]
-
-
-class TestExpandBracket:
-    def test_bad_bracket_rejected(self):
-        with pytest.raises(DomainError):
-            Bracket(1.0, 1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
 from deepbnmf.errors import ConfigError, DimensionError, PreconditionError
@@ -219,11 +221,30 @@ class TestScalarCells:
             phi = lambda t: c * t - 4.0 * lam * np.sqrt(t) + 2.0 * a / np.sqrt(t)
             assert w == pytest.approx(brute_force_scalar_min(phi, 1e-4, 200.0), abs=1e-6)
 
-    def test_half_degenerate_fallback(self):
+    def test_half_degenerate_cells(self):
         # abar = 0 collapses the cubic discriminant to zero; the root is
-        # (2 lam / cbar)^2 rather than the spurious w = 0.
-        w = half_inner_cells(np.array([0.0]), np.array([2.0]), 1.0)[0]
-        assert w == pytest.approx(1.0, abs=1e-10)
+        # (2 lam / cbar)^2 rather than the spurious w = 0.  The second cell
+        # is a near-degenerate one from the beta = 1/2 chain workload.
+        for abar, cbar, lam in [
+            (0.0, 2.0, 1.0),
+            (7.919462551247228e-24, 46.58580434737714, 0.14324710024980672),
+        ]:
+            w = half_inner_cells(np.array([abar]), np.array([cbar]), lam)[0]
+            expected = (2.0 * lam / cbar) ** 2
+            assert abs(w - expected) <= 1e-14 * expected
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(min_value=-25.0, max_value=3.0).map(lambda e: 10.0 ** e)),
+        st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e),
+        st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_half_cubic_residual(self, abar, cbar, lam):
+        # x = sqrt(w) solves cbar x^3 - 2 lam x^2 - abar = 0 to a few ulps
+        # of the size of its terms.
+        x = np.sqrt(half_inner_cells(np.array([abar]), np.array([cbar]), lam)[0])
+        terms = (cbar * x ** 3, 2.0 * lam * x ** 2, abar)
+        assert abs(terms[0] - terms[1] - terms[2]) <= 1e-14 * sum(terms)
 
 
 class TestWTerminal:
