@@ -242,13 +242,12 @@ def _cmd_metrics(args):
     path = Path(args.h_file)
     fmt = args.format or ("binary" if path.suffix == ".bin" else "csv")
     H = read_matrix(path, fmt)
+    # Everything is computed before the first write: a bad file prints nothing.
     ssc = ssc_row_zero_check(H)
+    sparsity = [hoyer_sparsity(row) for row in H]
     sys.stdout.write("row,hoyer_sparsity,zero_count,ssc_pass\n")
-    for i, row in enumerate(H):
-        sys.stdout.write(
-            f"{i},{hoyer_sparsity(row):.17g},{ssc.rows[i].zero_count},"
-            f"{int(ssc.rows[i].passes)}\n"
-        )
+    for i, (value, row) in enumerate(zip(sparsity, ssc.rows)):
+        sys.stdout.write(f"{i},{value:.17g},{row.zero_count},{int(row.passes)}\n")
     sys.stdout.write(
         "# contained_pairs: "
         + ";".join(f"{i}<={j}" for i, j in ssc.contained_pairs)

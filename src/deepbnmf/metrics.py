@@ -153,13 +153,15 @@ def ssc_row_zero_check(H: np.ndarray, tol: float = None) -> SscReport:
     entry, since multiplicative updates never produce exact zeros) and flags
     rows with fewer than r - 1 of them, plus row supports contained in one
     another.  This is only a necessary condition; certifying the full
-    property is NP-hard and out of scope.
+    property is NP-hard and out of scope.  H must be finite and nonnegative.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2:
         raise DomainError("H must be a matrix")
     if not np.all(np.isfinite(H)):
         raise DomainError("H must be finite")
+    if np.any(H < 0):
+        raise DomainError("H must be entrywise nonnegative")
     r = H.shape[0]
     if tol is None:
         tol = 1e-9 * float(H.max()) if H.size else 0.0

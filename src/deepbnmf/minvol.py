@@ -306,9 +306,6 @@ class MinvolBlocks:
     def slack(self, previous_total: float, lams) -> float:
         return 10.0 * self.config.admm_tol * (sum(self.alphas) + sum(lams))
 
-    def logdet_terms(self, state: DeepState, per_layer) -> tuple:
-        return tuple(t.logdet for t in per_layer)
-
 
 def minvol_factorize(
     X: np.ndarray,

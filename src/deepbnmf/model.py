@@ -293,7 +293,10 @@ def eval_objective(
 
     Plain: sum of lam_l * D_beta(W_{l-1}, W_l H_l).  Min-vol adds
     alpha_l * logdet(W_l^T W_l + delta I) per layer and is defined for the
-    KL divergence only.
+    KL divergence only.  Every layer's log-det is reported for both models
+    but weighted only for min-vol: in the plain model it is a diagnostic,
+    since a collapsing value flags W layers drifting toward rank deficiency
+    (a known failure mode when deep layers are over-weighted).
     """
     state.check_dims()
     if model not in ("plain", "minvol"):
@@ -306,7 +309,7 @@ def eval_objective(
     total = 0.0
     for i in range(state.num_layers):
         div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], config.beta)
-        ld = logdet_gram(state.W[i], config.delta) if model == "minvol" else 0.0
+        ld = logdet_gram(state.W[i], config.delta)
         weighted_ld = alphas[i] * ld if model == "minvol" else 0.0
         per_layer.append(
             LayerObjective(

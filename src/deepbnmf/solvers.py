@@ -4,7 +4,8 @@ Multilayer fits one layer at a time and never revisits earlier layers; the
 deep solver re-optimizes all factors jointly with block-majorization sweeps,
 which keeps the weighted total objective non-increasing.  The deep solver is
 warm-started from a multilayer run by default.  ``run_sweeps`` is the sweep
-driver shared with the min-vol solver; each model supplies its block updates.
+driver of all three solvers (multilayer runs it once per layer); each model
+supplies its block updates.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .divergence import beta_div_matrix
 from .errors import ConfigError, MonotonicityError
 from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
     DeepState,
+    LayerSpec,
     ROW_SIMPLEX_H,
     SolverConfig,
     SweepRecord,
@@ -39,23 +40,15 @@ from .updates import (
     update_w_inner,
     update_w_terminal,
 )
+# Not called here; perfbench/tracer.py wraps this name on this module.
+from .divergence import beta_div_matrix  # noqa: F401
 
 #: Relative slack allowed on the per-sweep objective decrease of the deep
-#: solver; anything beyond this is a bug and raises.
+#: and multilayer solvers; anything beyond this is a bug and raises.
 MONOTONICITY_REL_SLACK = 1e-10
 
 DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
 MULTILAYER_BETAS = (0.0, 0.5, 1.0, 1.5, 2.0)
-
-
-def _conditioning_diagnostics(state: DeepState, delta: float):
-    """Per-layer log det(W^T W + delta I), recorded in the trace.
-
-    The volume term is not part of the unregularized objective; it is logged
-    because a collapsing value flags W layers drifting toward rank
-    deficiency (a known failure mode when deep layers are over-weighted).
-    """
-    return tuple(logdet_gram(w, delta) for w in state.W)
 
 
 def multilayer_factorize(
@@ -63,53 +56,49 @@ def multilayer_factorize(
 ) -> Tuple[DeepState, ConvergenceTrace]:
     """Sequential NMF down the chain: fit layer l to the frozen W of layer l-1.
 
-    Each layer runs ``config.max_sweeps`` alternating multiplicative steps
-    (simplex-constrained H, then W).  Layer weights are ignored: the greedy
-    scheme optimizes each layer independently, so trace totals use weight 1
-    for unresolved lambdas.
+    Each layer is a one-layer ``run_sweeps`` problem with ``DeepBlocks``
+    (simplex-constrained H, then one multiplicative W step), started from
+    that layer's factors of one random draw, so its objective is checked to
+    be non-increasing.  Layer weights are ignored: the greedy scheme
+    optimizes each layer independently, so trace totals use weight 1 for
+    unresolved lambdas.  The trace has one record per sweep of every layer;
+    layers not fitted yet have NaN errors.
     """
     if config.beta not in MULTILAYER_BETAS:
         raise ConfigError(f"multilayer supports beta in {MULTILAYER_BETAS}")
     state = init_random(X, config.layers, config.seed, ROW_SIMPLEX_H)
-    num_layers = state.num_layers
     lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
-    eps = config.eps_floor
-    trace = ConvergenceTrace(num_layers, lambdas=list(lams))
-    frozen = [np.nan] * num_layers
-    sweep_index = 0
-    for i in range(num_layers):
+    trace = ConvergenceTrace(state.num_layers, lambdas=list(lams))
+    errors = [np.nan] * state.num_layers
+    for i, spec in enumerate(config.layers):
+        # The other layers do not change while layer i is fitted.
+        others = DeepState(state.X, state.W[:i] + state.W[i + 1 :], state.H[:i] + state.H[i + 1 :])
+        residual = simplex_residual(others, ROW_SIMPLEX_H)
+        logdets = tuple(logdet_gram(w, config.delta) for w in others.W)
         target = state.prev_w(i)
-        prev_err = np.inf
-        for _ in range(config.max_sweeps):
-            started = time.perf_counter()
-            state.H[i] = update_h_simplex(
-                state.W[i], target, state.H[i], config.beta, eps=eps
-            )
-            state.W[i] = update_w_terminal(
-                target, state.W[i], state.H[i], config.beta, eps=eps
-            )
-            err = beta_div_matrix(target, state.W[i] @ state.H[i], config.beta)
-            errors = list(frozen)
-            errors[i] = err
+        layer_config = replace(config, layers=[LayerSpec(spec.rank, lam=1.0)])
+        # Layer i's initial factors move out of state, so run_sweeps frees them once floored.
+        fitted, layer_trace = run_sweeps(
+            target,
+            layer_config,
+            DeepState(X=target, W=[state.W.pop(i)], H=[state.H.pop(i)]),
+            DeepBlocks(layer_config),
+        )
+        for rec in layer_trace.records:
+            errors[i] = rec.layer_errors[0]
             known = [e for e in errors if np.isfinite(e)]
-            total = float(np.dot(lams[: len(known)], known))
             trace.append(
                 SweepRecord(
-                    sweep=sweep_index,
-                    total_objective=total,
+                    sweep=len(trace),
+                    total_objective=float(np.dot(lams[: len(known)], known)),
                     layer_errors=tuple(errors),
-                    logdet_terms=_conditioning_diagnostics(state, config.delta),
-                    max_residual=simplex_residual(state, ROW_SIMPLEX_H),
-                    seconds=time.perf_counter() - started,
+                    logdet_terms=logdets[:i] + rec.logdet_terms + logdets[i:],
+                    max_residual=max(residual, rec.max_residual),
+                    seconds=rec.seconds,
                 )
             )
-            sweep_index += 1
-            if config.rel_obj_tol > 0 and abs(prev_err - err) <= config.rel_obj_tol * max(
-                1.0, abs(prev_err)
-            ):
-                break
-            prev_err = err
-        frozen[i] = beta_div_matrix(target, state.W[i] @ state.H[i], config.beta)
+        state.W.insert(i, fitted.W[0])
+        state.H.insert(i, fitted.H[0])
     return state, trace
 
 
@@ -145,9 +134,6 @@ class DeepBlocks:
     def slack(self, previous_total: float, lams) -> float:
         return MONOTONICITY_REL_SLACK * max(1.0, abs(previous_total))
 
-    def logdet_terms(self, state: DeepState, per_layer) -> tuple:
-        return _conditioning_diagnostics(state, self.config.delta)
-
 
 def run_sweeps(
     X: np.ndarray,
@@ -155,7 +141,7 @@ def run_sweeps(
     warm: Optional[DeepState],
     blocks,
 ) -> Tuple[DeepState, ConvergenceTrace]:
-    """Block-majorization sweeps shared by the deep and min-vol solvers.
+    """Block-majorization sweeps shared by all three solvers.
 
     The start is ``warm`` (its factors, fitted to ``X``), else
     ``config.warm_start_sweeps`` of multilayer NMF, else a random state.
@@ -164,18 +150,15 @@ def run_sweeps(
     sweep calls ``blocks.update_layer(state, i, lams)`` for every layer, then
     evaluates the ``blocks.model`` objective, which may not rise by more than
     ``blocks.slack(previous_total, lams)`` (else ``MonotonicityError``).
-    ``blocks.logdet_terms(state, per_layer)`` fills the trace's log-det
-    columns.  A positive ``config.rel_obj_tol`` stops the run early.
+    The trace's log-det columns are the objective's per-layer log-dets.  A
+    positive ``config.rel_obj_tol`` stops the run early.
     """
     eps = config.eps_floor
     column_w = blocks.constraint == COLUMN_SIMPLEX_W
     if warm is not None:
-        state = DeepState(
-            X=check_data(X),
-            W=[w.copy() for w in warm.W],
-            H=[h.copy() for h in warm.H],
-        )
+        state = DeepState(X=check_data(X), W=list(warm.W), H=list(warm.H))
         state.check_dims()
+        del warm  # the floors below free the factors no caller holds any more
     elif config.warm_start_sweeps > 0:
         state, _ = multilayer_factorize(X, replace(config, max_sweeps=config.warm_start_sweeps))
         if column_w:
@@ -213,7 +196,7 @@ def run_sweeps(
                 sweep=sweep,
                 total_objective=total,
                 layer_errors=tuple(t.divergence for t in per_layer),
-                logdet_terms=blocks.logdet_terms(state, per_layer),
+                logdet_terms=tuple(t.logdet for t in per_layer),
                 max_residual=simplex_residual(state, blocks.constraint),
                 seconds=time.perf_counter() - started,
             )

@@ -196,9 +196,10 @@ def _h_simplex_general(W, Y, H_tilde, V, b):
             u = mu[:, None]
             root = np.sqrt(u * u + quad)
             # Conjugate form for mu > 0 avoids cancellation in root - mu.
-            x = np.where(u > 0, 2.0 * Ba / (root + u), (root - u) / (2.0 * Aa))
-            h = Ht * x * x
-            return h, -2.0 * h / root
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = np.where(u > 0, 2.0 * Ba / (root + u), (root - u) / (2.0 * Aa))
+                h = Ht * x * x
+                return h, -2.0 * h / root
 
         lower_limit = None
     elif b == 2.0:

@@ -183,3 +183,11 @@ class TestCompareRenderMetrics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.filterwarnings("ignore:.*negative entries:RuntimeWarning")
+    @pytest.mark.parametrize("text", ["1,-1,0\n0,1,0\n", "1\n2\n"], ids=["negative", "one-column"])
+    def test_metrics_bad_file_writes_nothing(self, tmp_path, capsys, text):
+        path = tmp_path / "H.csv"
+        path.write_text(text)
+        assert run_command(["metrics", "--h-file", str(path)]) == 1
+        assert capsys.readouterr().out == ""

@@ -168,6 +168,11 @@ class TestSscCheck:
         with pytest.raises(DomainError):
             ssc_row_zero_check(np.array([[1.0, 0.0, bad], [0.0, 1.0, 0.0]]))
 
+    def test_negative_rejected(self):
+        # A negative entry would otherwise count as a zero of its row.
+        with pytest.raises(DomainError):
+            ssc_row_zero_check(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0]]))
+
     def test_default_tolerance_scales_with_magnitude(self):
         H = np.array([[5.0, 5e-10], [5e-10, 5.0]])
         report = ssc_row_zero_check(H)

@@ -117,6 +117,18 @@ class TestEvalObjective:
         assert total == pytest.approx(expected, rel=1e-12)
         assert per_layer[0].weighted_divergence == per_layer[0].divergence
 
+    def test_plain_reports_unweighted_logdet(self):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0.1, 1.0, (6, 5))
+        state = init_random(X, [LayerSpec(3), LayerSpec(2)], seed=2, constraint=ROW_SIMPLEX_H)
+        layers = [LayerSpec(3, lam=1.0, alpha=0.5), LayerSpec(2, lam=1.0, alpha=0.5)]
+        cfg = SolverConfig(beta=1.0, layers=layers, delta=0.2)
+        total, per_layer = eval_objective(state, cfg, "plain")
+        for w, term in zip(state.W, per_layer):
+            assert term.logdet == logdet_gram(w, 0.2)
+            assert term.weighted_logdet == 0.0
+        assert total == sum(t.weighted_divergence for t in per_layer)
+
     def test_minvol_identity_logdet(self):
         # Exact chain built on W2 = [I2; 0]: all divergence terms vanish, so
         # the total reduces to the layer-2 volume term 2 log(1.1) at delta 0.1.

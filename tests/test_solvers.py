@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import exact_two_layer_chain
 from deepbnmf.divergence import beta_div_matrix
 from deepbnmf.errors import ConfigError, DimensionError, DomainError, MonotonicityError
 from deepbnmf.minvol import minvol_factorize
+from deepbnmf.dataio import read_matrix
 from deepbnmf.model import (
     COLUMN_SIMPLEX_W,
     DeepState,
@@ -15,10 +17,26 @@ from deepbnmf.model import (
     ROW_SIMPLEX_H,
     SolverConfig,
     init_random,
+    logdet_gram,
 )
 from deepbnmf.solvers import deep_factorize, multilayer_factorize
 
 DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
+DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_30x20.csv"
+
+
+def rising_objective(monkeypatch):
+    """Make each objective evaluation of the sweep driver exceed the last one."""
+    real = deepbnmf.solvers.eval_objective
+    calls = []
+
+    def rising(state, config, kind):
+        total, per_layer = real(state, config, kind)
+        calls.append(total)
+        return total + 1e3 * len(calls), per_layer
+
+    monkeypatch.setattr(deepbnmf.solvers, "eval_objective", rising)
+    return calls
 
 
 class TestMultilayer:
@@ -64,6 +82,50 @@ class TestMultilayer:
         state, _ = multilayer_factorize(X, cfg)
         for h in state.H:
             assert np.abs(h.sum(axis=1) - 1.0).max() <= 1e-8
+
+
+    def test_rel_obj_tol_stops_each_layer_late(self):
+        # The first sweep of a layer has no previous objective to compare
+        # with, so it can never meet the relative tolerance.
+        X = read_matrix(DATA, "csv")
+        cfg = SolverConfig(
+            beta=1.0, layers=[LayerSpec(8), LayerSpec(4)], max_sweeps=200, rel_obj_tol=1e-4
+        )
+        _, trace = multilayer_factorize(X, cfg)
+        fitting_second = [np.isfinite(r.layer_errors[1]) for r in trace.records]
+        assert 1 < fitting_second.count(False) < 200
+        assert fitting_second.count(True) > 1
+
+    def test_rising_objective_raises(self, monkeypatch):
+        calls = rising_objective(monkeypatch)
+        cfg = SolverConfig(beta=1.0, layers=[LayerSpec(3), LayerSpec(2)], max_sweeps=5, seed=0)
+        with pytest.raises(MonotonicityError):
+            multilayer_factorize(np.random.default_rng(2).uniform(0.1, 1.0, (6, 6)), cfg)
+        assert len(calls) == 2
+
+    def test_trace_structure(self):
+        X = np.random.default_rng(4).uniform(0.1, 1.0, (10, 8))
+        layers = [LayerSpec(5), LayerSpec(3), LayerSpec(2)]
+        sweeps, delta = 6, 0.3
+        cfg = SolverConfig(beta=0.5, layers=layers, max_sweeps=sweeps, delta=delta, seed=5)
+        state, trace = multilayer_factorize(X, cfg)
+        init = init_random(X, layers, 5, ROW_SIMPLEX_H)
+        assert [r.sweep for r in trace.records] == list(range(3 * sweeps))
+        assert trace.max_residuals().max() <= 1e-8
+        for i in range(3):
+            records = trace.records[i * sweeps : (i + 1) * sweeps]
+            errors = np.array([r.layer_errors for r in records])
+            logdets = np.array([r.logdet_terms for r in records])
+            assert np.all(np.isfinite(errors[:, : i + 1]))
+            assert np.all(np.isnan(errors[:, i + 1 :]))
+            assert np.all(np.diff(errors[:, i]) <= 0)
+            assert logdets[-1, i] == logdet_gram(state.W[i], delta)
+            for j in range(3):
+                if j != i:
+                    W = state.W[j] if j < i else init.W[j]
+                    assert np.all(logdets[:, j] == logdet_gram(W, delta))
+            for j in range(i):
+                assert np.all(errors[:, j] == trace.records[(j + 1) * sweeps - 1].layer_errors[j])
 
 
 class TestDeep:
@@ -158,6 +220,17 @@ class TestDeep:
         assert np.all(np.isfinite(obj))
         assert np.all(np.diff(obj) <= 1e-10 * np.maximum(1.0, np.abs(obj[:-1])))
 
+    def test_beta_three_halves_emits_no_runtime_warning(self):
+        # The unselected branches of the beta = 3/2 H update divide by zero;
+        # those values are discarded and must not surface as warnings.
+        cfg = SolverConfig(
+            beta=1.5, layers=[LayerSpec(8), LayerSpec(4)], max_sweeps=50, warm_start_sweeps=20
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, trace = deep_factorize(read_matrix(DATA, "csv"), cfg)
+        assert len(trace) == 50
+
     def test_rel_obj_tol_stops_early(self):
         X, W, H = exact_two_layer_chain(13)
         warm = DeepState(X=X, W=W, H=H)
@@ -201,7 +274,10 @@ class TestSweepDriver:
         lams = (1.0, 0.5)
         full_state, full = driver_solve(model, X, lams=lams)
         half_state, _ = driver_solve(model, X, lams=lams, max_sweeps=3)
+        half = half_state.copy()
         state, resumed = driver_solve(model, X, warm=half_state, lams=lams, max_sweeps=3)
+        for a, b in zip(half_state.W + half_state.H, half.W + half.H):
+            assert np.array_equal(a, b)
         assert np.allclose(resumed.objectives(), full.objectives()[3:], rtol=1e-9, atol=0)
         for a, b in zip(state.W + state.H, full_state.W + full_state.H):
             assert np.allclose(a, b, rtol=1e-8, atol=1e-14)
@@ -244,17 +320,16 @@ class TestSweepDriver:
         assert abs(obj[-2] - obj[-1]) <= 1e-3 * max(1.0, abs(obj[-2]))
 
     def test_rising_objective_raises(self, model, monkeypatch):
-        real = deepbnmf.solvers.eval_objective
-        calls = []
-
-        def rising(state, config, kind):
-            total, per_layer = real(state, config, kind)
-            calls.append(total)
-            return total + len(calls), per_layer
-
-        monkeypatch.setattr(deepbnmf.solvers, "eval_objective", rising)
+        # Fires inside the multilayer warm start.
+        calls = rising_objective(monkeypatch)
         with pytest.raises(MonotonicityError):
             driver_solve(model, driver_data(), lams=(1.0, 0.5))
+        assert len(calls) == 2
+
+    def test_rising_objective_raises_without_warm_start(self, model, monkeypatch):
+        calls = rising_objective(monkeypatch)
+        with pytest.raises(MonotonicityError):
+            driver_solve(model, driver_data(), lams=(1.0, 0.5), warm_start_sweeps=0)
         assert len(calls) == 2
 
     def test_multilayer_warm_start_gets_run_settings(self, model, monkeypatch):
