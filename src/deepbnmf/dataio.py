@@ -114,6 +114,8 @@ def write_mosaic_pgm(
     placed row-major into a grid ``grid_cols`` tiles wide.
     """
     F = np.asarray(rows_of_features, dtype=float)
+    if tile_h < 1 or tile_w < 1:
+        raise DimensionError(f"tile size must be at least 1x1, got {tile_h}x{tile_w}")
     if F.ndim != 2 or F.shape[1] != tile_h * tile_w:
         raise DimensionError(
             f"each feature row must have tile_h*tile_w={tile_h * tile_w} entries, "

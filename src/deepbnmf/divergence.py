@@ -86,6 +86,19 @@ def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
+    if b == 1.0 and A.size and A.min() >= 0 and B.min() > 0:
+        # The cells of _beta_div_cells, by the same IEEE operations in the
+        # same order, in one buffer: (A log(A/B) - A) + B, where A == 0 keeps
+        # 0/B = 0 and A == B gives log(1) = 0, so both cells come out as before.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = A / B
+            np.log(t, out=t, where=A > 0)
+            t *= A
+            t -= A
+            t += B
+        total = float(np.sum(t))
+        if total == total:  # a NaN cell (inf/inf, inf - inf) needs the masked form
+            return total
     return float(np.sum(_beta_div_cells(A, B, b)))
 
 

@@ -41,10 +41,10 @@ class LayerSpec:
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.lam is not None and not self.lam > 0:
-            raise ConfigError(f"lam must be positive, got {self.lam}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ConfigError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigError(f"alpha must be nonnegative and finite, got {self.alpha}")
 
 
 def check_ranks(n_cols: int, layers: Sequence[LayerSpec]):
@@ -82,13 +82,15 @@ class SolverConfig:
     def __post_init__(self):
         self.beta = check_beta(self.beta)
         for name in ("delta", "rho", "admm_tol", "eps_floor"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         for name in ("admm_max_iter", "max_sweeps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.warm_start_sweeps < 0 or self.rel_obj_tol < 0:
-            raise ConfigError("warm_start_sweeps and rel_obj_tol must be >= 0")
+        if not 0 <= self.rel_obj_tol < np.inf:
+            raise ConfigError("rel_obj_tol must be nonnegative and finite")
+        if self.warm_start_sweeps < 0:
+            raise ConfigError("warm_start_sweeps must be >= 0")
 
     @property
     def ranks(self):

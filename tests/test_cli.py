@@ -102,6 +102,30 @@ class TestFactorize:
         args[args.index("--lambda") + 1] = "4,2,1"
         assert run_command(args) == 2
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--delta", "inf", "delta"), ("--rho", "inf", "rho"), ("--admm-tol", "inf", "admm_tol"),
+        ("--eps-floor", "inf", "eps_floor"), ("--rel-obj-tol", "nan", "rel_obj_tol"),
+        ("--rel-obj-tol", "inf", "rel_obj_tol"), ("--lambda", "inf,1", "lam"),
+        ("--lambda", "nan,1", "lam"),
+    ])
+    def test_non_finite_setting_is_runtime_error(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "x"
+        args = factorize_args(out)
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+        assert run_command(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_alpha_is_runtime_error(self, tmp_path, capsys):
+        args = factorize_args(tmp_path / "x", ["--alpha", "inf,0.05"])
+        args[args.index("--method") + 1] = "minvol"
+        assert run_command(args) == 1
+        assert capsys.readouterr().err.startswith("error: alpha must be")
+
     def test_minvol_end_to_end(self, tmp_path):
         out = tmp_path / "mv"
         args = factorize_args(out, ["--alpha", "0.2,0.05"])
@@ -164,6 +188,15 @@ class TestCompareRenderMetrics:
             "render", "--factors", str(deep_out), "--layer", "1",
             "--tile", "3x3", "--grid", "3",
         ]) == 1  # 9 != 20 entries per feature row
+
+    def test_render_negative_tile(self, two_runs, capsys):
+        deep_out, _ = two_runs
+        assert run_command([
+            "render", "--factors", str(deep_out), "--layer", "1",
+            "--tile=-4x-5", "--grid", "2",
+        ]) == 1  # (-4)(-5) = 20 entries, as many as a feature row holds
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(deep_out.glob("*.pgm")) == []
 
     def test_metrics_report(self, tmp_path, capsys):
         path = tmp_path / "H.csv"

@@ -110,6 +110,14 @@ class TestMosaic:
         with pytest.raises(DimensionError):
             write_mosaic_pgm(np.ones((1, 5)), 2, 2, 1, tmp_path / "f.pgm")
 
+    @pytest.mark.parametrize("tile", [(-2, -4), (0, 3), (3, 0)])
+    def test_tile_size_must_be_positive(self, tmp_path, tile):
+        # (-2)(-4) = 8 entries per row passes the entry count on its own.
+        features = np.ones((2, tile[0] * tile[1]))
+        with pytest.raises(DimensionError, match="tile size"):
+            write_mosaic_pgm(features, *tile, 2, tmp_path / "f.pgm")
+        assert not (tmp_path / "f.pgm").exists()
+
 
 class TestTrace:
     def build_trace(self, sweeps=3, layers=2):

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deepbnmf.divergence import (
     INFINITE_DIVERGENCE,
     SUPPORTED_BETAS,
+    _beta_div_cells,
     beta_div_matrix,
     beta_div_scalar,
     check_beta,
@@ -95,6 +98,90 @@ class TestMatrixDivergence:
         B = np.array([[0.0, 1.0]])
         assert beta_div_matrix(A, B, 1.0) == INFINITE_DIVERGENCE
         assert beta_div_matrix(A, B, 0.0) == INFINITE_DIVERGENCE
+
+
+def masked_kl(A, B):
+    """KL through the masked cell formula, the reference for the in-place pass."""
+    return float(np.sum(_beta_div_cells(A, B, 1.0)))
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+SPECIAL_VALUES = (0.0, -0.0, -1.0, 1e-310, 1e-300, 0.5, 1.0, 2.0, 1e300, math.inf, -math.inf, math.nan)
+
+
+class TestKlInPlace:
+    """beta = 1 evaluates in one buffer and must match the masked form bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_special_value_grid(self):
+        rng = np.random.default_rng(3)
+        A = rng.uniform(0.1, 2.0, (3, 4))
+        B = rng.uniform(0.1, 2.0, (3, 4))
+        A[0, 0] = B[0, 0]
+        A[2, 1] = 0.0
+        differ = []
+        for a, b in itertools.product(SPECIAL_VALUES, repeat=2):
+            A[1, 2], B[1, 2] = a, b
+            # Embedded among ordinary cells, and alone, where the sign of a zero shows.
+            for pa, pb in ((A, B), (np.array([[a]]), np.array([[b]]))):
+                if not same_bits(beta_div_matrix(pa, pb, 1.0), masked_kl(pa, pb)):
+                    differ.append((a, b, pa.size))
+        assert differ == []
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_layouts(self, order):
+        rng = np.random.default_rng(4)
+        A = rng.uniform(0.0, 3.0, (40, 30)) * (rng.random((40, 30)) < 0.5)
+        B = rng.uniform(0.01, 3.0, (40, 30))
+        other = "C" if order == "F" else "F"
+        A, B = np.asarray(A, order=order), np.asarray(B, order=order)
+        for a, b in ((A, B), (A[:, ::3], B[:, ::3]), (A, np.asarray(B, order=other))):
+            assert same_bits(beta_div_matrix(a, b, 1.0), masked_kl(a, b))
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(5)
+        A = rng.uniform(0.0, 2.0, (5, 6))
+        A[1] = 0.0
+        B = rng.uniform(0.1, 2.0, (5, 6))
+        A0, B0 = A.copy(), B.copy()
+        beta_div_matrix(A, B, 1.0)
+        assert np.array_equal(A, A0) and np.array_equal(B, B0)
+
+    def test_read_only_integer_and_list_inputs(self):
+        A = np.array([[2.0, 0.0], [1.0, 3.0]])
+        B = np.array([[1.0, 1.0], [1.0, 2.0]])
+        expected = masked_kl(A, B)
+        A.flags.writeable = False
+        B.flags.writeable = False
+        assert same_bits(beta_div_matrix(A, B, 1.0), expected)
+        assert same_bits(beta_div_matrix(A.astype(int), B.astype(int), 1.0), expected)
+        assert same_bits(beta_div_matrix(A.tolist(), B.tolist(), 1.0), expected)
+
+    def test_empty_is_zero(self):
+        for shape in ((0,), (0, 3), (4, 0)):
+            assert beta_div_matrix(np.ones(shape), np.ones(shape), 1.0) == 0.0
+
+
+@st.composite
+def kl_pairs(draw):
+    """Nonnegative A and positive B with some zero and some equal cells, scaled together."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 9)))
+    unit = st.floats(min_value=1e-3, max_value=1e3)
+    A = draw(arrays(float, shape, elements=st.one_of(st.just(0.0), unit)))
+    B = draw(arrays(float, shape, elements=unit))
+    B = np.where(draw(arrays(bool, shape)) & (A > 0), A, B)
+    scale = draw(st.floats(min_value=1e-6, max_value=1e8))
+    return A * scale, B * scale
+
+
+@given(kl_pairs())
+@settings(max_examples=300, deadline=None)
+def test_kl_in_place_matches_masked_form(pair):
+    A, B = pair
+    assert same_bits(beta_div_matrix(A, B, 1.0), masked_kl(A, B))
 
 
 class TestDecomposition:

@@ -220,6 +220,18 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             LayerSpec(2, lam=-1.0)
 
+    @pytest.mark.parametrize("name", ["delta", "rho", "admm_tol", "eps_floor", "rel_obj_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig(beta=1.0, layers=[LayerSpec(2)], **{name: value})
+
+    @pytest.mark.parametrize("field", ["lam", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_layer_weights_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            LayerSpec(2, **{field: value})
+
     def test_with_lambdas(self):
         cfg = SolverConfig(beta=1.0, layers=[LayerSpec(4), LayerSpec(2)])
         resolved = cfg.with_lambdas([0.5, 2.0])
