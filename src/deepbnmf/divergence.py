@@ -99,6 +99,9 @@ def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:
         total = float(np.sum(t))
         if total == total:  # a NaN cell (inf/inf, inf - inf) needs the masked form
             return total
+        # The masked form redoes this pass's divisions, whose overflow was reported.
+        with np.errstate(over="ignore"):
+            return float(np.sum(_beta_div_cells(A, B, b)))
     return float(np.sum(_beta_div_cells(A, B, b)))
 
 

@@ -99,21 +99,22 @@ def simplex_w_cells(W_tilde, C, S, T, mu):
     return W_tilde * g / T, root
 
 
-def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL):
+def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL, start=None):
     """Solve the diagonal-quadratic simplex subproblem behind the W updates.
 
     Entries have the closed form w = w_tilde * (sqrt((C+mu)^2 + S) - (C+mu))/T
     which is positive and strictly decreasing in the column multiplier mu;
-    each mu is found by safeguarded Newton so that columns sum to one.
+    each mu is found by safeguarded Newton so that columns sum to one, its
+    bracket grown from ``start`` when given.  Returns W and the multipliers.
     """
 
     def f_df(mu):
         w, root = simplex_w_cells(W_tilde, C, S, T, mu)
         return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
 
-    mu = solve_multipliers(f_df, W_tilde.shape[1], tol)
+    mu = solve_multipliers(f_df, W_tilde.shape[1], tol, start=start)
     W, _ = simplex_w_cells(W_tilde, C, S, T, mu)
-    return W
+    return W, mu
 
 
 def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float):
@@ -141,7 +142,7 @@ def admm_w_step(
     if not rho > 0 or not alpha_ratio > 0:
         raise ConfigError("rho and alpha_ratio must be positive")
     C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio)
-    return _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T)
+    return _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T)[0]
 
 
 def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: float):
@@ -149,7 +150,7 @@ def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: flo
     if not alpha_ratio > 0:
         raise ConfigError("alpha_ratio must be positive")
     C, S, T = _w_step_terms(Y, W_tilde, H, ldctx, 0.0, alpha_ratio)
-    return _simplex_w_minimize(W_tilde, C, S, T)
+    return _simplex_w_minimize(W_tilde, C, S, T)[0]
 
 
 def z_min_step(W_bar: np.ndarray, V: np.ndarray, nu: float):
@@ -214,8 +215,9 @@ def admm_solve_w(
     best_w = W
     best_res = np.inf
     converged = False
+    mu = None  # each W step's bracket grows from the previous multipliers
     for it in range(1, max_iter + 1):
-        W = _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T)
+        W, mu = _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T, start=mu)
         Z = z_min_step(ctx.W_bar, W + U, nu)
         U = U + W - Z
         res = float(np.linalg.norm(W - Z))

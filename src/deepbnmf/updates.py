@@ -47,17 +47,27 @@ def _require_positive(name, M):
         raise PreconditionError(f"{name} must be entrywise positive")
 
 
-def solve_multipliers(f_df, count, tol, lower_limit=None):
+def solve_multipliers(f_df, count, tol, lower_limit=None, start=None):
     """Roots of ``count`` decreasing functions, one multiplier each.
 
     ``f_df(mu)`` returns the (f, df) arrays of all components at once.  The
-    bracket starts at [-1, 1]: its upper end moves up by doubling steps until
-    f < 0; its lower end moves down the same way until f > 0 or, when a
-    per-component ``lower_limit`` bounds the domain, halves its gap above
-    that limit.  Newton candidates outside the shrinking bracket fall back to
+    bracket grows from an origin: 0, or ``start`` (one finite multiplier per
+    component, raised to ``lower_limit``; the min-vol ADMM passes its previous
+    iterate's).  It starts at origin -+ 1: its upper end moves up by doubling
+    steps until f < 0; its lower end moves down the same way until f > 0 or,
+    when a per-component ``lower_limit`` bounds the domain, halves its gap
+    above that limit.  Newton starts at the origin when it lies inside the
+    bracket; candidates outside the shrinking bracket fall back to
     bisection; components with |f| <= tol are frozen.
     """
-    hi = np.ones(count)
+    origin = np.zeros(count)
+    if start is not None:
+        origin = np.asarray(start, dtype=float)
+        if origin.shape != (count,) or not np.isfinite(origin).all():
+            raise ConfigError(f"start must hold {count} finite multipliers")
+        if lower_limit is not None:
+            origin = np.maximum(origin, lower_limit)
+    hi = origin + 1.0
     step = np.ones(count)
     for _ in range(80):
         grow = f_df(hi)[0] >= 0
@@ -67,7 +77,7 @@ def solve_multipliers(f_df, count, tol, lower_limit=None):
         step = np.where(grow, 2.0 * step, step)
     else:
         raise NoRootError("upper bracket expansion failed")
-    lo = -np.ones(count)
+    lo = origin - 1.0
     step = np.ones(count)
     if lower_limit is not None:
         step = np.maximum(lo - lower_limit, 1.0)
@@ -85,7 +95,7 @@ def solve_multipliers(f_df, count, tol, lower_limit=None):
     else:
         raise NoRootError("lower bracket expansion failed")
 
-    mu = np.where((lo < 0.0) & (hi > 0.0), 0.0, 0.5 * (lo + hi))
+    mu = np.where((lo < origin) & (hi > origin), origin, 0.5 * (lo + hi))
     done = np.zeros(count, dtype=bool)
     for _ in range(200):
         f, df = f_df(mu)

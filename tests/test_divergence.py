@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ class TestKlInPlace:
     def test_empty_is_zero(self):
         for shape in ((0,), (0, 3), (4, 0)):
             assert beta_div_matrix(np.ones(shape), np.ones(shape), 1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            ([[1e300, math.inf]], [[1e-310, math.inf]]),  # inf/inf: falls back
+            ([[1e300]], [[1e-310]]),  # the in-place pass alone
+        ],
+    )
+    def test_overflow_warns_once(self, A, B):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = beta_div_matrix(np.array(A), np.array(B), 1.0)
+        assert value == math.inf
+        assert [str(w.message) for w in caught] == ["overflow encountered in divide"]
 
 
 @st.composite

@@ -211,6 +211,39 @@ class TestAdmmSolve:
         assert run_a.residuals == run_b.residuals
 
 
+    def test_warm_multipliers_match_cold_start(self, monkeypatch):
+        # At 1e4 times the data scale the multipliers are large; each W step
+        # grows its bracket from the previous step's multipliers and must land
+        # on the W that a bracket grown from zero finds.
+        import deepbnmf.minvol as minvol
+
+        W, H, Y, W_bar = column_simplex_instance(12, m=20, r=3, p=40)
+        ctx = InnerWContext(Y=1e4 * Y, W_tilde=W, H=1e4 * H, W_bar=W_bar, lambda_ratio=1.0)
+        ld = build_logdet_context(W, 0.1)
+        solve = minvol._simplex_w_minimize
+        starts, returned = [], []
+
+        def recording(*args, start=None, **kwargs):
+            starts.append(start)
+            W_step, mu = solve(*args, start=start, **kwargs)
+            returned.append(mu)
+            return W_step, mu
+
+        monkeypatch.setattr(minvol, "_simplex_w_minimize", recording)
+        warm, run = admm_solve_w(ctx, ld, alpha_ratio=0.5, rho=100.0, max_iter=50, tol=1e-6)
+        assert run.state.iterations == len(starts) > 1
+        assert starts[0] is None
+        assert all(a is b for a, b in zip(starts[1:], returned))
+        assert np.abs(returned[-1]).min() > 1.0
+
+        monkeypatch.setattr(
+            minvol, "_simplex_w_minimize", lambda *args, start=None, **kwargs: solve(*args, **kwargs)
+        )
+        cold, _ = admm_solve_w(ctx, ld, alpha_ratio=0.5, rho=100.0, max_iter=50, tol=1e-6)
+        assert np.abs(warm - cold).max() <= 1e-10
+        assert np.abs(warm.sum(axis=0) - 1.0).max() <= 1e-12
+
+
 class TestTerminalStep:
     def test_columns_sum_to_one_and_descend(self):
         W, H, Y, _ = column_simplex_instance(12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepbnmf.scalars
-from deepbnmf.errors import DomainError, NoRootError
+from deepbnmf.errors import ConfigError, DomainError, NoRootError
 from deepbnmf.scalars import lambert_w0, lambert_w0_exp, lambert_w0_from_log
 from deepbnmf.updates import solve_multipliers
 
@@ -167,6 +167,59 @@ class TestLambertProperties:
         assert abs(w + np.log(w) - lx) <= 1e-12 * max(1.0, lx)
 
 
+def column_instance(scale=1.0):
+    """Cells of a small simplex W map; scaling C, S, T by c, c^2, c scales its roots by c."""
+    rng = np.random.default_rng(7)
+    W_tilde = rng.uniform(0.2, 1.0, (3, 2))
+    C = rng.uniform(-1.0, 2.0, (3, 2))
+    T = rng.uniform(0.5, 2.0, (3, 2))
+    S = 2.0 * T * rng.uniform(0.2, 1.5, (3, 2))
+    return W_tilde, scale * C, scale * scale * S, scale * T
+
+
+def column_map(scale=1.0):
+    """(f, df) of the column sums of ``column_instance``, its count and no lower limit."""
+    from deepbnmf.minvol import simplex_w_cells
+
+    cells = column_instance(scale)
+
+    def f_df(mu):
+        w, root = simplex_w_cells(*cells, mu)
+        return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
+
+    return f_df, 2, None
+
+
+def half_row_map():
+    """(f, df) of the row sums of the beta = 1/2 H map, h = h~ (B / (C + mu))^(2/3),
+    their count and lower limit -min(C); f_df fails at or below that limit."""
+    rng = np.random.default_rng(11)
+    Ht = rng.uniform(0.05, 1.0, (3, 5))
+    Ht /= Ht.sum(axis=1, keepdims=True)
+    B = rng.uniform(0.2, 2.0, (3, 5))
+    C = rng.uniform(0.5, 3.0, (3, 5))
+    lower_limit = -C.min(axis=1)
+
+    def f_df(mu):
+        assert np.all(mu > lower_limit), "evaluated outside the multiplier domain"
+        u = C + mu[:, None]
+        h = Ht * (B / u) ** (2.0 / 3.0)
+        return h.sum(axis=1) - 1.0, (-(2.0 / 3.0) * h / u).sum(axis=1)
+
+    return f_df, 3, lower_limit
+
+
+def counting(f_df):
+    """f_df that counts its evaluations in ``.calls``."""
+
+    def wrapped(mu):
+        wrapped.calls += 1
+        return f_df(mu)
+
+    wrapped.calls = 0
+    return wrapped
+
+
 class TestMonotoneSolve:
     def test_no_sign_change(self):
         positive = lambda mu: (1.0 + np.exp(-mu), -np.exp(-mu))
@@ -176,26 +229,22 @@ class TestMonotoneSolve:
         ]:
             with pytest.raises(NoRootError):
                 solve_multipliers(f_df, 1, 1e-12, lower_limit)
+            for start in (-5.0, 5.0):
+                with pytest.raises(NoRootError):
+                    solve_multipliers(f_df, 1, 1e-12, lower_limit, start=np.array([start]))
 
     def test_column_sum_instance(self):
         # Column sums of the simplex W map are monotone in the multiplier;
         # the dense scan pins the root, the solver must agree.
         from deepbnmf.minvol import simplex_w_cells
 
-        rng = np.random.default_rng(7)
-        W_tilde = rng.uniform(0.2, 1.0, (3, 2))
-        C = rng.uniform(-1.0, 2.0, (3, 2))
-        T = rng.uniform(0.5, 2.0, (3, 2))
-        S = 2.0 * T * rng.uniform(0.2, 1.5, (3, 2))
+        W_tilde, C, S, T = column_instance()
+        f_df, _, _ = column_map()
         j = 0
 
         def colsum(mu):
             mu_vec = np.array([mu, 0.0])
             return float(simplex_w_cells(W_tilde, C, S, T, mu_vec)[0][:, j].sum()) - 1.0
-
-        def f_df(mu):
-            w, root = simplex_w_cells(W_tilde, C, S, T, mu)
-            return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
 
         grid = np.linspace(-50.0, 50.0, 20001)
         values = np.array([colsum(g) for g in grid])
@@ -205,3 +254,42 @@ class TestMonotoneSolve:
         root = solve_multipliers(f_df, 2, 1e-10)[j]
         assert abs(colsum(root)) <= 1e-10
         assert grid[crossings[0]] <= root <= grid[crossings[0] + 1]
+
+    @pytest.mark.parametrize(
+        "make_map, offset",
+        [(m, d) for m in (column_map, half_row_map) for d in (0.0, 1e-9, -1e-9, 1e3, -1e3, 1e6, -1e6)]
+        + [(half_row_map, "below")],  # under the domain's lower limit
+    )
+    def test_warm_start_finds_the_cold_root(self, make_map, offset):
+        f_df, count, lower_limit = make_map()
+        tol = 1e-12
+        cold = solve_multipliers(f_df, count, tol, lower_limit)
+        if offset == "below":
+            start = lower_limit - np.array([0.0, 1e-3, 5.0])
+        else:
+            start = cold + offset
+        warm = solve_multipliers(f_df, count, tol, lower_limit, start=start)
+        assert np.abs(f_df(warm)[0]).max() <= tol
+        assert np.abs(warm - cold).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.zeros(3), np.zeros((2, 1)), np.zeros(1), [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf]],
+    )
+    def test_bad_start_rejected(self, start):
+        f_df, _, _ = column_map()
+        with pytest.raises(ConfigError):
+            solve_multipliers(f_df, 2, 1e-12, start=start)
+
+    def test_warm_start_near_root_is_cheap(self):
+        # At 1e4 times the scale the roots lie in the thousands, so the cold
+        # bracket has to double its way out from [-1, 1].
+        f_df, _, _ = column_map(1e4)
+        cold_f = counting(f_df)
+        root = solve_multipliers(cold_f, 2, 1e-12)
+        assert np.abs(root).min() >= 1e3
+        warm_f = counting(f_df)
+        warm = solve_multipliers(warm_f, 2, 1e-12, start=root + np.array([1e-6, -1e-6]))
+        assert np.abs(warm - root).max() <= 1e-10 * np.abs(root).max()
+        assert cold_f.calls >= 10
+        assert warm_f.calls <= 6
