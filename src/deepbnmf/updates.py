@@ -357,13 +357,17 @@ def half_inner_cells(abar, cbar, lam):
     cube root makes every term of x positive, so the root is free of
     cancellation, also at abar = 0 where the discriminant vanishes
     (Numerical Recipes, section 5.6).
+
+    The coefficients are written through the positive q = -p and s = -a,
+    with products rather than ``**``: numpy's power falls back to a scalar
+    loop, about ten times slower, when the base is negative.
     """
-    p = -2.0 * lam / cbar
-    a = -(p * p) / 3.0
-    bq = (2.0 * p ** 3 - 27.0 * (abar / cbar)) / 27.0
-    disc = 0.25 * bq * bq + a ** 3 / 27.0
-    u = np.cbrt(-0.5 * bq + np.sqrt(np.maximum(disc, 0.0)))
-    x = u - a / (3.0 * u) - p / 3.0
+    q = 2.0 * lam / cbar
+    s = q * q / 3.0
+    mb = (2.0 * (q * q * q) + 27.0 * (abar / cbar)) / 27.0  # -b
+    disc = 0.25 * mb * mb - s * s * s / 27.0
+    u = np.cbrt(0.5 * mb + np.sqrt(np.maximum(disc, 0.0)))
+    x = u + s / (3.0 * u) + q / 3.0
     return x * x
 
 

@@ -173,6 +173,16 @@ class TestCompareRenderMetrics:
         ]) == 0
         assert target.read_text().startswith("layer,error_ratio")
 
+    def test_compare_negative_factor_is_runtime_error(self, two_runs, capsys):
+        deep_out, ml_out = two_runs
+        W1 = read_matrix(deep_out / "W_1.bin", "binary")
+        W1[0, 0] = -1.0  # layer 2 approximates W_1, so its divergence sees the entry
+        write_matrix(W1, deep_out / "W_1.bin", "binary")
+        assert run_command(["compare", "--deep", str(deep_out), "--baseline", str(ml_out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta divergence arguments must be nonnegative\n"
+
     def test_render_mosaic(self, two_runs, tmp_path):
         deep_out, _ = two_runs
         target = tmp_path / "mosaic.pgm"

@@ -101,9 +101,9 @@ class TestMatrixDivergence:
         assert beta_div_matrix(A, B, 0.0) == INFINITE_DIVERGENCE
 
 
-def masked_kl(A, B):
-    """KL through the masked cell formula, the reference for the in-place pass."""
-    return float(np.sum(_beta_div_cells(A, B, 1.0)))
+def masked_sum(A, B, beta=1.0):
+    """The sum of the masked cell formula, the reference for the one-pass forms."""
+    return float(np.sum(_beta_div_cells(A, B, beta)))
 
 
 def same_bits(x, y):
@@ -115,6 +115,8 @@ SPECIAL_VALUES = (0.0, -0.0, -1.0, 1e-310, 1e-300, 0.5, 1.0, 2.0, 1e300, math.in
 
 class TestKlInPlace:
     """beta = 1 evaluates in one buffer and must match the masked form bit for bit."""
+
+    beta = 1.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_special_value_grid(self):
@@ -128,7 +130,11 @@ class TestKlInPlace:
             A[1, 2], B[1, 2] = a, b
             # Embedded among ordinary cells, and alone, where the sign of a zero shows.
             for pa, pb in ((A, B), (np.array([[a]]), np.array([[b]]))):
-                if not same_bits(beta_div_matrix(pa, pb, 1.0), masked_kl(pa, pb)):
+                if a < 0 or b < 0:  # -1 and -inf; -0.0 and NaN are not negative
+                    with pytest.raises(ConfigError, match="nonnegative"):
+                        beta_div_matrix(pa, pb, self.beta)
+                    continue
+                if not same_bits(beta_div_matrix(pa, pb, self.beta), masked_sum(pa, pb, self.beta)):
                     differ.append((a, b, pa.size))
         assert differ == []
 
@@ -140,7 +146,7 @@ class TestKlInPlace:
         other = "C" if order == "F" else "F"
         A, B = np.asarray(A, order=order), np.asarray(B, order=order)
         for a, b in ((A, B), (A[:, ::3], B[:, ::3]), (A, np.asarray(B, order=other))):
-            assert same_bits(beta_div_matrix(a, b, 1.0), masked_kl(a, b))
+            assert same_bits(beta_div_matrix(a, b, self.beta), masked_sum(a, b, self.beta))
 
     def test_inputs_left_unchanged(self):
         rng = np.random.default_rng(5)
@@ -148,36 +154,80 @@ class TestKlInPlace:
         A[1] = 0.0
         B = rng.uniform(0.1, 2.0, (5, 6))
         A0, B0 = A.copy(), B.copy()
-        beta_div_matrix(A, B, 1.0)
+        beta_div_matrix(A, B, self.beta)
         assert np.array_equal(A, A0) and np.array_equal(B, B0)
 
     def test_read_only_integer_and_list_inputs(self):
         A = np.array([[2.0, 0.0], [1.0, 3.0]])
         B = np.array([[1.0, 1.0], [1.0, 2.0]])
-        expected = masked_kl(A, B)
+        expected = masked_sum(A, B, self.beta)
         A.flags.writeable = False
         B.flags.writeable = False
-        assert same_bits(beta_div_matrix(A, B, 1.0), expected)
-        assert same_bits(beta_div_matrix(A.astype(int), B.astype(int), 1.0), expected)
-        assert same_bits(beta_div_matrix(A.tolist(), B.tolist(), 1.0), expected)
+        assert same_bits(beta_div_matrix(A, B, self.beta), expected)
+        assert same_bits(beta_div_matrix(A.astype(int), B.astype(int), self.beta), expected)
+        assert same_bits(beta_div_matrix(A.tolist(), B.tolist(), self.beta), expected)
 
     def test_empty_is_zero(self):
         for shape in ((0,), (0, 3), (4, 0)):
-            assert beta_div_matrix(np.ones(shape), np.ones(shape), 1.0) == 0.0
+            assert beta_div_matrix(np.ones(shape), np.ones(shape), self.beta) == 0.0
 
     @pytest.mark.parametrize(
         "A, B",
         [
-            ([[1e300, math.inf]], [[1e-310, math.inf]]),  # inf/inf: falls back
-            ([[1e300]], [[1e-310]]),  # the in-place pass alone
+            ([[1e300, math.inf]], [[1e-310, math.inf]]),  # beta = 1: inf/inf falls back
+            ([[1e300]], [[1e-310]]),  # the one-pass form alone
         ],
     )
     def test_overflow_warns_once(self, A, B):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            value = beta_div_matrix(np.array(A), np.array(B), 1.0)
+            value = beta_div_matrix(np.array(A), np.array(B), self.beta)
         assert value == math.inf
         assert [str(w.message) for w in caught] == ["overflow encountered in divide"]
+
+    def test_zero_next_to_tiny_is_quiet(self):
+        # A == 0 over a tiny B is exact (the cell is B); the zero B makes the
+        # cell with A = 1 infinite and sends the call to the masked form.
+        A, B = np.array([[0.0, 1.0]]), np.array([[1e-310, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beta_div_matrix(A, B, self.beta) == math.inf
+            cells = _beta_div_cells(A, B, self.beta)
+        zero_cell = 1e-310 if self.beta == 1.0 else 2.0 * math.sqrt(1e-310)
+        assert cells[0, 0] == zero_cell and cells[0, 1] == math.inf
+
+
+class TestHalfOnePass(TestKlInPlace):
+    """beta = 1/2 evaluates in two reused buffers and must match the masked form bit for bit."""
+
+    beta = 0.5
+
+
+class TestNegativeEntries:
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            ([[0.0, -1.0]], [[1e-310, 2.0]]),
+            ([[1.0, 2.0]], [[1.0, -1e-300]]),
+            ([[-math.inf]], [[1.0]]),
+            ([[math.nan, -1.0]], [[1.0, 1.0]]),  # the NaN minimum hides the sign
+            ([[1.0, 1.0]], [[-1.0, math.nan]]),
+        ],
+    )
+    def test_raise_like_the_scalar(self, beta, A, B):
+        # The message of beta_div_scalar(-1, 2, beta).
+        with pytest.raises(ConfigError, match="arguments must be nonnegative"):
+            beta_div_matrix(A, B, beta)
+
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
+    def test_negative_zero_and_nan_keep_the_masked_form(self, beta):
+        for a, b in ((-0.0, 2.0), (2.0, -0.0), (-0.0, -0.0), (math.nan, 2.0), (2.0, math.nan)):
+            A = np.array([[a, 1.0]])
+            B = np.array([[b, 3.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert same_bits(beta_div_matrix(A, B, beta), masked_sum(A, B, beta))
 
 
 @st.composite
@@ -196,7 +246,14 @@ def kl_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_kl_in_place_matches_masked_form(pair):
     A, B = pair
-    assert same_bits(beta_div_matrix(A, B, 1.0), masked_kl(A, B))
+    assert same_bits(beta_div_matrix(A, B, 1.0), masked_sum(A, B))
+
+
+@given(kl_pairs())
+@settings(max_examples=300, deadline=None)
+def test_half_one_pass_matches_masked_form(pair):
+    A, B = pair
+    assert same_bits(beta_div_matrix(A, B, 0.5), masked_sum(A, B, 0.5))
 
 
 class TestDecomposition:

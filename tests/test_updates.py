@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,16 +234,30 @@ class TestScalarCells:
             w = half_inner_cells(np.array([abar]), np.array([cbar]), lam)[0]
             expected = (2.0 * lam / cbar) ** 2
             assert abs(w - expected) <= 1e-14 * expected
+        # A layer-2 cell of the same workload, where cbar nears 1e7 and abar
+        # moves the root 6e-7 away from (2 lam / cbar)^2.  In exact arithmetic
+        # the cubic changes sign within 5e-15 of x = sqrt(w) on every cell,
+        # so w is within about 1e-14 of the true root.
+        for abar, cbar, lam in [
+            (0.0, 2.0, 1.0),
+            (7.919462551247228e-24, 46.58580434737714, 0.14324710024980672),
+            (4.5041125287940784e-23, 9708517.410509156, 0.12285480888161826),
+        ]:
+            x = Fraction(float(np.sqrt(half_inner_cells(np.array([abar]), np.array([cbar]), lam)[0])))
+            cubic = lambda t: Fraction(cbar) * t ** 3 - 2 * Fraction(lam) * t ** 2 - Fraction(abar)
+            step = Fraction(5, 10 ** 15)
+            assert cubic(x * (1 - step)) < 0 < cubic(x * (1 + step))
 
     @given(
         st.one_of(st.just(0.0), st.floats(min_value=-25.0, max_value=3.0).map(lambda e: 10.0 ** e)),
-        st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e),
+        st.floats(min_value=-2.0, max_value=7.0).map(lambda e: 10.0 ** e),
         st.floats(min_value=1e-3, max_value=1.0),
     )
     @settings(max_examples=300, deadline=None)
     def test_half_cubic_residual(self, abar, cbar, lam):
         # x = sqrt(w) solves cbar x^3 - 2 lam x^2 - abar = 0 to a few ulps
-        # of the size of its terms.
+        # of the size of its terms.  cbar reaches 1e7, as on layer 2 of the
+        # beta = 1/2 chain workload.
         x = np.sqrt(half_inner_cells(np.array([abar]), np.array([cbar]), lam)[0])
         terms = (cbar * x ** 3, 2.0 * lam * x ** 2, abar)
         assert abs(terms[0] - terms[1] - terms[2]) <= 1e-14 * sum(terms)
