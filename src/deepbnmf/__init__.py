@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     MonotonicityError,
     NoRootError,
-    OracleError,
     ParseError,
     PreconditionError,
 )

@@ -14,8 +14,6 @@ with the beta-divergence", Neural Computation 23(9), 2011.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,44 +44,12 @@ def mu_exponent(beta: float) -> float:
     return 1.0 / (2.0 - b) if b < 1.0 else 1.0
 
 
-def beta_div_scalar(x: float, y: float, beta) -> float:
-    """Scalar beta-divergence d_beta(x, y) with saturating conventions.
-
-    Points where the divergence diverges (``y == 0`` with ``x > 0`` for
-    beta <= 1, or ``x == 0`` for beta == 0) return ``INFINITE_DIVERGENCE``
-    rather than raising, and ``d(0, 0) = 0`` by continuity along the diagonal.
-    """
-    b = check_beta(beta)
-    if x < 0 or y < 0:
-        raise ConfigError("beta divergence arguments must be nonnegative")
-    if x == y:
-        return 0.0
-    if b == 1.0:
-        if y == 0.0:
-            return INFINITE_DIVERGENCE
-        if x == 0.0:
-            return float(y)
-        return float(x * math.log(x / y) - x + y)
-    if b == 0.0:
-        if x == 0.0 or y == 0.0:
-            return INFINITE_DIVERGENCE
-        r = x / y
-        return float(r - math.log(r) - 1.0)
-    if b == 2.0:
-        return float(0.5 * (x - y) ** 2)
-    if b == 0.5:
-        if y == 0.0:
-            return INFINITE_DIVERGENCE if x > 0 else 0.0
-        return float(-4.0 * math.sqrt(x) + 2.0 * math.sqrt(y) + 2.0 * x / math.sqrt(y))
-    # beta == 1.5
-    return float((4.0 / 3.0) * (x ** 1.5 + 0.5 * y ** 1.5 - 1.5 * x * math.sqrt(y)))
-
-
 def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:
     """Sum of entrywise beta-divergences between equal-shaped matrices.
 
-    A negative entry in ``A`` or ``B`` raises ``ConfigError``, as in
-    ``beta_div_scalar``.
+    A negative entry in ``A`` or ``B`` raises ``ConfigError``.  Cells where
+    the divergence diverges (``B == 0 < A`` for beta <= 1, ``A == 0 < B`` for
+    beta == 0) count as ``INFINITE_DIVERGENCE``; ``A == B`` cells count as 0.
     """
     b = check_beta(beta)
     A = np.asarray(A, dtype=float)
@@ -145,7 +111,9 @@ _ONE_PASS = {1.0: _kl_one_pass, 0.5: _half_one_pass}
 
 
 def _beta_div_cells(A, B, b: float) -> np.ndarray:
-    """Entrywise d_beta(A, B), with the saturating conventions of beta_div_scalar."""
+    """Entrywise d_beta(A, B), saturating: +inf where the divergence diverges
+    (B == 0 < A for beta <= 1, A == 0 < B for beta == 0) or a cell comes out
+    NaN, and exactly 0 where A == B."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -170,51 +138,3 @@ def _beta_div_cells(A, B, b: float) -> np.ndarray:
     # The divergence is exactly zero on the diagonal; rounding in the power
     # forms must not leak through.
     return np.where(A == B, 0.0, total)
-
-
-@dataclass(frozen=True)
-class DecompositionTerms:
-    """Split d_beta(v, u) = check_d(v, u) + hat_d(v, u) + bar_d(v).
-
-    ``check_d`` is convex in ``u``, ``hat_d`` concave in ``u`` and ``bar_d``
-    does not depend on ``u``; ``hat_d_prime`` is the partial derivative of
-    ``hat_d`` with respect to ``u``.  All callables are vectorized.
-    """
-
-    beta: float
-    check_d: Callable
-    hat_d: Callable
-    bar_d: Callable
-    hat_d_prime: Callable
-
-
-def decomposition_terms(beta) -> DecompositionTerms:
-    """Convex-concave-constant decomposition of d_beta as vectorized callables."""
-    b = check_beta(beta)
-    if b >= 1.0:
-        # The divergence is already convex in u: no concave or constant part.
-        return DecompositionTerms(
-            beta=b,
-            check_d=lambda v, u: _beta_div_cells(v, u, b),
-            hat_d=lambda v, u: np.zeros(np.broadcast(v, u).shape),
-            bar_d=lambda v: np.zeros(np.shape(v)),
-            hat_d_prime=lambda v, u: np.zeros(np.broadcast(v, u).shape),
-        )
-    if b == 0.0:
-        return DecompositionTerms(
-            beta=b,
-            check_d=lambda v, u: np.asarray(v, dtype=float) / u,
-            hat_d=lambda v, u: np.log(u) + 0.0 * np.asarray(v, dtype=float),
-            # The constant must make the identity hold:
-            # v/u - log(v/u) - 1 - (v/u) - log(u) = -log(v) - 1.
-            bar_d=lambda v: -np.log(v) - 1.0,
-            hat_d_prime=lambda v, u: 1.0 / np.asarray(u, dtype=float) + 0.0 * np.asarray(v, dtype=float),
-        )
-    # beta == 0.5
-    return DecompositionTerms(
-        beta=b,
-        check_d=lambda v, u: 2.0 * np.asarray(v, dtype=float) / np.sqrt(u),
-        hat_d=lambda v, u: 2.0 * np.sqrt(u) + 0.0 * np.asarray(v, dtype=float),
-        bar_d=lambda v: -4.0 * np.sqrt(v),
-        hat_d_prime=lambda v, u: 1.0 / np.sqrt(u) + 0.0 * np.asarray(v, dtype=float),
-    )

@@ -39,7 +39,3 @@ class ComparisonError(DeepBnmfError):
 
 class MonotonicityError(DeepBnmfError):
     """The solver objective increased beyond the allowed slack."""
-
-
-class OracleError(DeepBnmfError):
-    """A brute-force verification oracle hit non-finite values."""

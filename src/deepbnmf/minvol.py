@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .divergence import beta_div_matrix
-from .errors import ConfigError, DimensionError, PreconditionError
+from .errors import ConfigError, PreconditionError
 from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
@@ -66,24 +66,6 @@ def build_logdet_context(W_ref: np.ndarray, delta: float) -> LogDetContext:
     )
 
 
-def logdet_majorizer(W: np.ndarray, ctx: LogDetContext, W_ref: np.ndarray) -> float:
-    """Separable quadratic upper bound of logdet(W^T W + delta I), tight at W_ref.
-
-    Row i contributes its linearization at the reference row plus a diagonal
-    quadratic with weights 2 (A+ + A-) w_ref / w_ref, which dominates the
-    true curvature for strictly positive references.
-    """
-    if W.shape != W_ref.shape:
-        raise DimensionError("W and W_ref must have equal shapes")
-    if not np.all(W_ref > 0):
-        raise PreconditionError("the majorizer reference must be entrywise positive")
-    base = logdet_gram(W_ref, ctx.delta)
-    diff = W - W_ref
-    grad = 2.0 * W_ref @ ctx.A
-    curv = 2.0 * (W_ref @ (ctx.A_plus + ctx.A_minus)) / W_ref
-    return float(base + np.sum(grad * diff) + 0.5 * np.sum(curv * diff * diff))
-
-
 def simplex_w_cells(W_tilde, C, S, T, mu):
     """Entrywise W map of the simplex-constrained quadratic subproblem.
 
@@ -125,24 +107,6 @@ def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float
     S = 2.0 * T * P
     C0 = H.sum(axis=1)[None, :] - 4.0 * alpha_ratio * (Wt @ ldctx.A_minus)
     return C0, S, T
-
-
-def admm_w_step(
-    ctx: InnerWContext,
-    ldctx: LogDetContext,
-    Z: np.ndarray,
-    U: np.ndarray,
-    rho: float,
-    alpha_ratio: float,
-):
-    """One W minimization of the ADMM: fit majorizer + volume bound + penalty.
-
-    Returns a nonnegative matrix whose columns sum to one.
-    """
-    if not rho > 0 or not alpha_ratio > 0:
-        raise ConfigError("rho and alpha_ratio must be positive")
-    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio)
-    return _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T)[0]
 
 
 def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: float):

@@ -354,29 +354,3 @@ def _column_normalize_chain(state: DeepState):
         state.W[i] = state.W[i] / scale
         state.H[i] = state.H[i] * scale[:, None]
         prev_scale = scale
-
-
-@dataclass(frozen=True)
-class StateReport:
-    max_negativity: float
-    max_simplex_residual: float
-    dims_ok: bool
-    message: str = ""
-
-
-def validate_state(state: DeepState, constraint: Constraint, tol: float = 1e-8) -> StateReport:
-    """Report nonnegativity, simplex residuals and dimension consistency."""
-    try:
-        state.check_dims()
-        dims_ok = True
-        message = ""
-    except DimensionError as exc:
-        return StateReport(np.nan, np.nan, False, str(exc))
-    neg = 0.0
-    for mat in state.W + state.H:
-        if mat.size:
-            neg = max(neg, float(-min(0.0, mat.min())))
-    residual = simplex_residual(state, constraint)
-    if neg > tol or residual > tol:
-        message = f"violations exceed tol={tol}"
-    return StateReport(neg, residual, dims_ok, message)

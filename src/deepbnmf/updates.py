@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import check_beta, decomposition_terms, mu_exponent
+from .divergence import check_beta, mu_exponent
 from .errors import ConfigError, DimensionError, NoRootError, PreconditionError
 from .model import MACHINE_EPS
 from .scalars import lambert_w0_exp
@@ -384,35 +384,3 @@ def update_w_terminal(Y, W_tilde, H, beta, eps: float = MACHINE_EPS):
     denom = V ** (b - 1.0) @ H.T
     W = W_tilde * (numer / denom) ** mu_exponent(b)
     return epsilon_floor(W, eps)
-
-
-def beta_fit_majorizer_value(W, Y, H, H_tilde, beta) -> float:
-    """Value of the separable majorizer of H |-> D_beta(Y, W H) anchored at H_tilde.
-
-    Used by tests to certify descent of the closed-form kernels; the kernels
-    themselves never evaluate this.
-    """
-    b = check_beta(beta)
-    W = np.asarray(W, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    H = np.asarray(H, dtype=float)
-    H_tilde = np.asarray(H_tilde, dtype=float)
-    dt = decomposition_terms(b)
-    V = W @ H_tilde
-    total = 0.0
-    # Boundary evaluations (a zero H entry with beta < 1) are legal and give
-    # an infinite surrogate value rather than a warning.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(W.shape[1]):
-            scaled = V * (H[k][None, :] / H_tilde[k][None, :])
-            weight = np.outer(W[:, k], H_tilde[k]) / V
-            total += float(np.sum(weight * dt.check_d(Y, scaled)))
-        total += float(np.sum(dt.hat_d_prime(Y, V) * (W @ (H - H_tilde))))
-        total += float(np.sum(dt.hat_d(Y, V)))
-        total += float(np.sum(dt.bar_d(Y)))
-    return total
-
-
-def w_fit_majorizer_value(Y, W, W_tilde, H, beta) -> float:
-    """Majorizer of W |-> D_beta(Y, W H), by transposing the H-side majorizer."""
-    return beta_fit_majorizer_value(H.T, Y.T, W.T, W_tilde.T, beta)

@@ -22,14 +22,12 @@ from deepbnmf.divergence import beta_div_matrix
 from deepbnmf.metrics import hoyer_sparsity
 from deepbnmf.minvol import (
     build_logdet_context,
-    logdet_majorizer,
     minvol_factorize,
     z_min_step,
 )
 from deepbnmf.model import DeepState, LayerSpec, SolverConfig, logdet_gram
 from deepbnmf.solvers import deep_factorize, multilayer_factorize
 from deepbnmf.updates import (
-    beta_fit_majorizer_value,
     half_inner_cells,
     is_inner_cells,
     kl_inner_cells,
@@ -40,7 +38,12 @@ from deepbnmf.updates import (
     InnerWContext,
 )
 from deepbnmf.scalars import lambert_w0, lambert_w0_from_log
-from deepbnmf.verification import brute_force_scalar_min, check_majorizer
+from oracles import (
+    beta_fit_majorizer_value,
+    brute_force_scalar_min,
+    check_majorizer,
+    logdet_majorizer,
+)
 
 DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
 SEEDS = range(5)

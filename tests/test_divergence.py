@@ -13,12 +13,11 @@ from deepbnmf.divergence import (
     SUPPORTED_BETAS,
     _beta_div_cells,
     beta_div_matrix,
-    beta_div_scalar,
     check_beta,
-    decomposition_terms,
     mu_exponent,
 )
 from deepbnmf.errors import ConfigError, DimensionError
+from oracles import beta_div_scalar, decomposition_terms
 
 
 class TestScalarDivergence:

@@ -9,7 +9,6 @@ from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
 from deepbnmf.errors import ConfigError, DimensionError, PreconditionError
 from deepbnmf.updates import (
     InnerWContext,
-    beta_fit_majorizer_value,
     epsilon_floor,
     half_inner_cells,
     is_inner_cells,
@@ -19,9 +18,13 @@ from deepbnmf.updates import (
     update_h_simplex,
     update_w_inner,
     update_w_terminal,
+)
+from oracles import (
+    beta_fit_majorizer_value,
+    brute_force_scalar_min,
+    simplex_descent_min,
     w_fit_majorizer_value,
 )
-from deepbnmf.verification import brute_force_scalar_min, simplex_descent_min
 
 INNER_BETAS = (0.0, 0.5, 1.0, 1.5)
 
@@ -34,6 +37,20 @@ def random_instance(seed, m=5, r=3, n=6, simplex_rows=True):
         H /= H.sum(axis=1, keepdims=True)
     Y = rng.uniform(0.05, 2.0, (m, n))
     return W, H, Y
+
+
+def brute_force_cell(surrogate, M, cell):
+    """Brute-force minimizer of ``surrogate`` over one entry of M, the others fixed."""
+    trial = M.copy()
+
+    def along(grid):
+        values = []
+        for x in grid:
+            trial[cell] = x
+            values.append(surrogate(trial))
+        return values
+
+    return brute_force_scalar_min(along, 1e-6, 50.0)
 
 
 class TestEpsilonFloor:
@@ -291,6 +308,20 @@ class TestWTerminal:
             after = beta_div_matrix(Y, W_new @ H, beta)
             assert after <= before + 1e-10 * max(1.0, before)
 
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
+    def test_minimizes_its_surrogate(self, beta):
+        # One multiplicative step minimizes the separable fit majorizer
+        # anchored at W: it never raises it, and a cell matches brute force.
+        for seed in range(30):
+            W, H, Y = random_instance(400 + seed, simplex_rows=False)
+            W_new = update_w_terminal(Y, W, H, beta, eps=1e-300)
+            before = w_fit_majorizer_value(Y, W, W, H, beta)
+            after = w_fit_majorizer_value(Y, W_new, W, H, beta)
+            assert after <= before + 1e-10 * max(1.0, abs(before))
+        surrogate = lambda Wm: w_fit_majorizer_value(Y, Wm, W, H, beta)
+        cell = (1, 2)  # on the last draw
+        assert W_new[cell] == pytest.approx(brute_force_cell(surrogate, W_new, cell), abs=1e-6)
+
 
 class TestHPlain:
     def test_fixed_point(self):
@@ -303,3 +334,16 @@ class TestHPlain:
         W, H, Y = random_instance(9, simplex_rows=False)
         H_new = update_h_plain(W, Y, H, 1.0, eps=1e-300)
         assert beta_div_matrix(Y, W @ H_new, 1.0) <= beta_div_matrix(Y, W @ H, 1.0)
+
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
+    def test_minimizes_its_surrogate(self, beta):
+        # The H-side twin of TestWTerminal.test_minimizes_its_surrogate.
+        for seed in range(30):
+            W, H_tilde, Y = random_instance(500 + seed, simplex_rows=False)
+            H = update_h_plain(W, Y, H_tilde, beta, eps=1e-300)
+            before = beta_fit_majorizer_value(W, Y, H_tilde, H_tilde, beta)
+            after = beta_fit_majorizer_value(W, Y, H, H_tilde, beta)
+            assert after <= before + 1e-10 * max(1.0, abs(before))
+        surrogate = lambda Hm: beta_fit_majorizer_value(W, Y, Hm, H_tilde, beta)
+        cell = (1, 2)  # on the last draw
+        assert H[cell] == pytest.approx(brute_force_cell(surrogate, H, cell), abs=1e-6)

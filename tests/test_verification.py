@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from deepbnmf.errors import OracleError
-from deepbnmf.verification import (
-    brute_force_scalar_min,
-    check_majorizer,
-    simplex_descent_min,
-)
+from oracles import brute_force_scalar_min, check_majorizer, simplex_descent_min
 
 
 class TestBruteForce:
@@ -35,7 +30,7 @@ class TestBruteForce:
         assert x == pytest.approx(1.763223, abs=1e-6)
 
     def test_non_finite_rejected(self):
-        with np.errstate(invalid="ignore"), pytest.raises(OracleError):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             brute_force_scalar_min(lambda w: np.log(w - 5.0), 0.0, 10.0)
 
     def test_itakura_saito_closed_form_cross_check(self):
