@@ -22,7 +22,7 @@ class PreconditionError(DeepBnmfError):
 
 
 class NoRootError(DeepBnmfError):
-    """Root bracketing or refinement failed."""
+    """A root search diverged or stalled above its tolerance."""
 
 
 class DegenerateInputError(DeepBnmfError):

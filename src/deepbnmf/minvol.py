@@ -41,15 +41,13 @@ _COLUMN_SUM_TOL = 1e-12
 class LogDetContext:
     """Curvature data of the volume penalty linearized at a reference W.
 
-    ``A`` is the inverse of the regularized Gram matrix of the reference;
-    its positive and negative parts drive the diagonal quadratic bound used
-    by the closed-form updates.
+    ``A_plus`` and ``A_minus`` are the positive and negative parts of the
+    inverse of the regularized Gram matrix of the reference; they drive the
+    diagonal quadratic bound used by the closed-form updates.
     """
 
-    A: np.ndarray
     A_plus: np.ndarray
     A_minus: np.ndarray
-    delta: float
 
 
 def build_logdet_context(W_ref: np.ndarray, delta: float) -> LogDetContext:
@@ -58,12 +56,7 @@ def build_logdet_context(W_ref: np.ndarray, delta: float) -> LogDetContext:
     gram = W_ref.T @ W_ref + delta * np.eye(W_ref.shape[1])
     A = np.linalg.inv(gram)
     A = 0.5 * (A + A.T)
-    return LogDetContext(
-        A=A,
-        A_plus=np.maximum(A, 0.0),
-        A_minus=np.maximum(-A, 0.0),
-        delta=delta,
-    )
+    return LogDetContext(A_plus=np.maximum(A, 0.0), A_minus=np.maximum(-A, 0.0))
 
 
 def simplex_w_cells(W_tilde, C, S, T, mu):
@@ -75,28 +68,35 @@ def simplex_w_cells(W_tilde, C, S, T, mu):
     """
     u = C + np.asarray(mu)[None, :]
     root = np.sqrt(u * u + S)
-    # Conjugate form for u > 0: sqrt(u^2+S) - u loses digits when u >> S.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(u > 0, S / (root + u), root - u)
+    # g = root - u, in the conjugate form S / (root + u) where u > 0:
+    # root - u loses digits when u >> S.
+    g = root + np.abs(u)
+    np.divide(S, g, out=g, where=u > 0)
     return W_tilde * g / T, root
 
 
 def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL, start=None):
     """Solve the diagonal-quadratic simplex subproblem behind the W updates.
 
-    Entries have the closed form w = w_tilde * (sqrt((C+mu)^2 + S) - (C+mu))/T
-    which is positive and strictly decreasing in the column multiplier mu;
-    each mu is found by safeguarded Newton so that columns sum to one, its
-    bracket grown from ``start`` when given.  Returns W and the multipliers.
+    Entries w = w_tilde * g / T, with g = sqrt(u^2 + S) - u and u = C + mu,
+    are positive, convex and strictly decreasing in the column multiplier
+    mu, so Newton on each column sum converges from any start (see
+    ``solve_multipliers``); the ADMM passes the previous iterate's.  A cold
+    solve starts where one entry alone reaches 1, at g = G = T / w_tilde,
+    that is u = (S - G^2) / (2G): left of the root.  Returns W and mu.
     """
+    if start is None:
+        G = T / W_tilde
+        start = (0.5 * (S / G - G) - C).max(axis=0)
+    last = {}
 
     def f_df(mu):
         w, root = simplex_w_cells(W_tilde, C, S, T, mu)
+        last["w"] = w
         return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
 
-    mu = solve_multipliers(f_df, W_tilde.shape[1], tol, start=start)
-    W, _ = simplex_w_cells(W_tilde, C, S, T, mu)
-    return W, mu
+    mu = solve_multipliers(f_df, start, tol)
+    return last["w"], mu
 
 
 def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float):
@@ -179,7 +179,7 @@ def admm_solve_w(
     best_w = W
     best_res = np.inf
     converged = False
-    mu = None  # each W step's bracket grows from the previous multipliers
+    mu = None  # each W step starts from the previous multipliers
     for it in range(1, max_iter + 1):
         W, mu = _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T, start=mu)
         Z = z_min_step(ctx.W_bar, W + U, nu)

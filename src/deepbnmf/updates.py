@@ -5,7 +5,8 @@ Each kernel minimizes the standard separable majorizer of its block objective
 
 * ``update_h_simplex``  -- H-block under row sum-to-one constraints; the
   Lagrange multiplier of each row enters the entrywise stationarity equation
-  and is found by safeguarded Newton on the row sum.
+  and is found by Newton on a residual that is convex and decreasing in it,
+  started at a bound left of its root (``solve_multipliers``).
 * ``update_w_inner``    -- W-block of an intermediate layer, where the layer
   above contributes a proximity term ``lam * D_beta(W, W_bar)``; entrywise
   closed forms exist for beta in {0, 1/2, 1, 3/2} (Lambert W, quadratic in
@@ -47,74 +48,40 @@ def _require_positive(name, M):
         raise PreconditionError(f"{name} must be entrywise positive")
 
 
-def solve_multipliers(f_df, count, tol, lower_limit=None, start=None):
-    """Roots of ``count`` decreasing functions, one multiplier each.
+def solve_multipliers(f_df, start, tol):
+    """Roots of convex decreasing functions, one multiplier each, by Newton.
 
-    ``f_df(mu)`` returns the (f, df) arrays of all components at once.  The
-    bracket grows from an origin: 0, or ``start`` (one finite multiplier per
-    component, raised to ``lower_limit``; the min-vol ADMM passes its previous
-    iterate's).  It starts at origin -+ 1: its upper end moves up by doubling
-    steps until f < 0; its lower end moves down the same way until f > 0 or,
-    when a per-component ``lower_limit`` bounds the domain, halves its gap
-    above that limit.  Newton starts at the origin when it lies inside the
-    bracket; candidates outside the shrinking bracket fall back to
-    bisection; components with |f| <= tol are frozen.
+    ``f_df(mu)`` returns the (f, df) arrays of all components at once.  Each
+    f must be convex and decreasing in its multiplier, so every tangent lies
+    below it: from a point left of the root (f >= 0) the Newton iterates rise
+    monotonically to it, and from the right one step lands on the left.  So
+    no bracket is needed, only a finite ``start`` in f's domain, one per
+    component; where the domain ends on the left, the caller's start is a
+    bound left of the root.  Components with |f| <= tol are frozen.  The
+    last call of ``f_df`` is at the returned multipliers.
     """
-    origin = np.zeros(count)
-    if start is not None:
-        origin = np.asarray(start, dtype=float)
-        if origin.shape != (count,) or not np.isfinite(origin).all():
-            raise ConfigError(f"start must hold {count} finite multipliers")
-        if lower_limit is not None:
-            origin = np.maximum(origin, lower_limit)
-    hi = origin + 1.0
-    step = np.ones(count)
-    for _ in range(80):
-        grow = f_df(hi)[0] >= 0
-        if not grow.any():
-            break
-        hi = np.where(grow, hi + step, hi)
-        step = np.where(grow, 2.0 * step, step)
-    else:
-        raise NoRootError("upper bracket expansion failed")
-    lo = origin - 1.0
-    step = np.ones(count)
-    if lower_limit is not None:
-        step = np.maximum(lo - lower_limit, 1.0)
-        lo = lower_limit + step
-    for _ in range(200):
-        grow = f_df(lo)[0] <= 0
-        if not grow.any():
-            break
-        if lower_limit is None:
-            lo = np.where(grow, lo - step, lo)
-            step = np.where(grow, 2.0 * step, step)
-        else:
-            step = np.where(grow, 0.5 * step, step)
-            lo = lower_limit + step
-    else:
-        raise NoRootError("lower bracket expansion failed")
-
-    mu = np.where((lo < origin) & (hi > origin), origin, 0.5 * (lo + hi))
-    done = np.zeros(count, dtype=bool)
-    for _ in range(200):
+    mu = np.array(start, dtype=float)
+    if mu.ndim != 1 or not np.isfinite(mu).all():
+        raise ConfigError("start must be a vector of finite multipliers")
+    try:
         f, df = f_df(mu)
-        done = done | (np.abs(f) <= tol)
-        if done.all():
-            return mu
-        lo = np.where(~done & (f > 0), mu, lo)
-        hi = np.where(~done & (f < 0), mu, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = mu - f / df
-        bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
-        step = np.where(bad, 0.5 * (lo + hi), newton)
-        mu = np.where(done, mu, step)
-    f, _ = f_df(mu)
+    except ValueError as err:  # numpy could not broadcast the start
+        raise ConfigError("start must hold one multiplier per component") from err
+    if np.shape(f) != mu.shape:
+        raise ConfigError("start must hold one multiplier per component")
+    # f_df runs inside too: an inf or NaN step ends in NoRootError.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            live = ~(np.abs(f) <= tol)  # a NaN residual stays live and fails below
+            if not live.any():
+                return mu
+            mu = np.where(live, mu - f / df, mu)
+            if not np.isfinite(mu).all():
+                raise NoRootError(f"multiplier solve diverged; worst residual {np.max(np.abs(f))}")
+            f, df = f_df(mu)
     if np.all(np.abs(f) <= _ROW_SUM_CONTRACT):
         return mu
-    raise NoRootError(
-        f"multiplier solve stalled; worst residual {np.max(np.abs(f))}"
-    )
+    raise NoRootError(f"multiplier solve stalled; worst residual {np.max(np.abs(f))}")
 
 
 def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
@@ -165,82 +132,113 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
 def _h_simplex_general(W, Y, H_tilde, V, b):
     """Row-multiplier solve shared by beta in {0, 1/2, 3/2, 2}.
 
-    Rows with an identically zero numerator are excluded from the solve and
-    reported back to the caller.
+    Each row's residual is convex and decreasing in its multiplier, and each
+    row starts from a bound that places it left of the root, so plain Newton
+    converges (see ``solve_multipliers``).  Rows with an identically zero
+    numerator are excluded from the solve and reported back to the caller.
     """
     if b == 1.5:
         sqv = np.sqrt(V)
         A = W.T @ sqv
         B = W.T @ (Y / sqv)
-        C = None
-        expo = None
     elif b == 2.0:
         A = W.T @ V
         B = W.T @ Y
-        C = None
-        expo = None
     elif b == 0.5:
-        B = W.T @ (Y * V ** -1.5)
-        C = W.T @ (V ** -0.5)
-        A = None
-        expo = 2.0 / 3.0
+        # Reciprocals and roots, not numpy's slower general power.
+        inv_sqv = 1.0 / np.sqrt(V)
+        B = W.T @ (Y * (inv_sqv / V))
+        C = W.T @ inv_sqv
     else:  # b == 0
-        B = W.T @ (Y * V ** -2.0)
-        C = W.T @ (1.0 / V)
-        A = None
-        expo = 0.5
+        inv = 1.0 / V
+        B = W.T @ (Y * (inv * inv))
+        C = W.T @ inv
     dead = B.sum(axis=1) <= 0
     alive = ~dead
     H = np.zeros_like(H_tilde)
     if not alive.any():
         return H, dead
     Ht = H_tilde[alive]
-    Ba = B[alive]
-    Aa = A[alive] if A is not None else None
-    Ca = C[alive] if C is not None else None
+    B = B[alive]
+    last = {}
 
     if b == 1.5:
-        quad = 4.0 * Aa * Ba
+        A = A[alive]
+        quad = 4.0 * A * B
+        twoA, twoB = 2.0 * A, 2.0 * B
+        # h_j = Ht_j x_j^2 with A_j x^2 + mu x - B_j = 0, so h_j = 1 at
+        # mu = B_j sqrt(Ht_j) - A_j / sqrt(Ht_j): the row sum is >= 1 at the
+        # largest of these.
+        rt = np.sqrt(Ht)
+        start = (B * rt - A / rt).max(axis=1)
 
-        def h_and_slope(mu):
+        def f_df(mu):
             u = mu[:, None]
             root = np.sqrt(u * u + quad)
-            # Conjugate form for mu > 0 avoids cancellation in root - mu.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = np.where(u > 0, 2.0 * Ba / (root + u), (root - u) / (2.0 * Aa))
-                h = Ht * x * x
-                return h, -2.0 * h / root
+            # x = (root - u) / 2A, in the conjugate form 2B / (root + u)
+            # where u > 0: root - u loses digits when u >> AB.
+            g = root + np.abs(u)
+            x = g / twoA
+            np.divide(twoB, g, out=x, where=u > 0)
+            h = last["h"] = Ht * x * x
+            return h.sum(axis=1) - 1.0, -2.0 * (h / root).sum(axis=1)
 
-        lower_limit = None
     elif b == 2.0:
+        # In v = mu - max B the active terms are R_j (-v - E_j), with no
+        # cancellation against B at large data scales.  The hinge lies above
+        # its all-active line, so the line's root is left of the row's.
+        R = Ht / A[alive]
+        E = B.max(axis=1, keepdims=True) - B
+        start = -(1.0 + (R * E).sum(axis=1)) / R.sum(axis=1)
 
-        def h_and_slope(mu):
-            u = mu[:, None]
-            active = Ba > u
-            h = np.where(active, Ht * (Ba - u) / Aa, 0.0)
-            return h, np.where(active, -Ht / Aa, 0.0)
+        def f_df(v):
+            gap = -v[:, None] - E
+            h = last["h"] = R * np.maximum(gap, 0.0)
+            return h.sum(axis=1) - 1.0, -(R * (gap > 0)).sum(axis=1)
 
-        lower_limit = None
     else:
-        positive = Ba > 0
-        # The multiplier domain is bounded below by the smallest linear
-        # coefficient among entries the data actually pulls on.
-        lower_limit = -np.where(positive, Ca, np.inf).min(axis=1)
+        # h_j = a_j t_j^-e with a = Ht B^e and t = C + mu, for e = 2/3
+        # (beta = 1/2) or 1/2 (beta = 0).  Solve for the shift s = mu + min C
+        # over the entries the data pulls on (B > 0), so t = D + s with
+        # D = C - min C >= 0 never cancels against C.  With S the row sum,
+        # S^(-1/e) is a positive multiple of a power mean of t with exponent
+        # -e: concave and increasing in s, so 1 - S^(-1/e) is convex and
+        # decreasing.
+        positive = B > 0
+        C = C[alive]
+        low = np.where(positive, C, np.inf).min(axis=1, keepdims=True)
+        D = np.where(positive, C - low, 0.0)
+        if b == 0.5:  # e = 2/3; sink(t) = t^-e, lift(x) = x^(1/e)
+            a = Ht * np.cbrt(B) ** 2
+            sink, lift = (lambda t: (1.0 / np.cbrt(t)) ** 2), (lambda x: x * np.sqrt(x))
+        else:  # e = 1/2
+            a = Ht * np.sqrt(B)
+            sink, lift = (lambda t: 1.0 / np.sqrt(t)), (lambda x: x * x)
+        # S >= 1 where one term alone reaches 1, s = a_j^(1/e) - D_j, and where
+        # the power mean's upper bound, the a-weighted mean of t, gives S = 1,
+        # s = (sum a)^(1/e) - sum(a D) / sum(a): the larger lies left of the root.
+        total = a.sum(axis=1)
+        start = np.maximum((lift(a) - D).max(axis=1), lift(total) - (a * D).sum(axis=1) / total)
 
-        def h_and_slope(mu):
-            u = mu[:, None]
-            with np.errstate(divide="ignore", over="ignore"):
-                base = np.where(positive, Ba / (Ca + u), 0.0)
-                h = Ht * base ** expo
-                slope = np.where(positive, -expo * h / (Ca + u), 0.0)
-            return h, slope
+        def f_df(s):
+            t = D + s[:, None]
+            h = last["h"] = a * sink(t)
+            rows = h.sum(axis=1)
+            inv = 1.0 / lift(rows)
+            return 1.0 - inv, -(inv / rows) * (h / t).sum(axis=1)
 
-    def f_df(mu):
-        h, slope = h_and_slope(mu)
-        return h.sum(axis=1) - 1.0, slope.sum(axis=1)
-
-    mu = solve_multipliers(f_df, int(alive.sum()), _ROW_SUM_TOL, lower_limit)
-    H[alive], _ = h_and_slope(mu)
+    root = solve_multipliers(f_df, start, _ROW_SUM_TOL)
+    if b in (0.0, 0.5):
+        # An entry the data does not pull on (B = 0) adds (C_j + mu) h_j to
+        # the majorizer, so mu stays >= -C_j: a row whose root lies below
+        # that stops there and gives the rest of its mass to that entry.
+        cap = np.where(positive, 0.0, low - C).max(axis=1)
+        pinned = np.flatnonzero(root < cap)
+        if pinned.size:
+            f_df(np.maximum(root, cap))
+            j = np.argmax(np.where(positive, -np.inf, -C), axis=1)[pinned]
+            last["h"][pinned, j] = 1.0 - last["h"][pinned].sum(axis=1)
+    H[alive] = last["h"]
     return H, dead
 
 

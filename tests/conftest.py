@@ -1,6 +1,8 @@
-"""Shared synthetic-data builders for the test suite."""
+"""Shared synthetic-data builders and probes for the test suite."""
 
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 
@@ -73,3 +75,39 @@ def best_permutation_cosine(W_est, S_true):
         )
         best = max(best, cos)
     return float(best)
+
+
+@contextlib.contextmanager
+def recorded_solves(module):
+    """Record every multiplier solve that ``module`` runs.
+
+    Yields a list that gets one entry per ``solve_multipliers`` call: the
+    (mu, f) pairs of its evaluations, in order, the first at the start.
+    """
+    real = module.solve_multipliers
+    solves = []
+
+    def recording(f_df, start, tol):
+        points = []
+        solves.append(points)
+
+        def f_df_recorded(mu):
+            f, df = f_df(mu)
+            points.append((np.array(mu), np.array(f)))
+            return f, df
+
+        return real(f_df_recorded, start, tol)
+
+    with mock.patch.object(module, "solve_multipliers", recording):
+        yield solves
+
+
+def assert_started_left_and_rose(solves, rel=1e-12):
+    """Each solve started where f >= 0 and its iterates did not decrease,
+    both up to rounding relative to the size of the iterates."""
+    assert solves
+    for points in solves:
+        mus = np.array([mu for mu, _ in points])
+        assert np.all(points[0][1] >= -rel)
+        size = np.abs(mus).max(axis=0)
+        assert np.all(np.diff(mus, axis=0) >= -rel * size)

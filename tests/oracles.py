@@ -251,19 +251,23 @@ def w_fit_majorizer_value(Y, W, W_tilde, H, beta) -> float:
     return beta_fit_majorizer_value(H.T, Y.T, W.T, W_tilde.T, beta)
 
 
-def logdet_majorizer(W: np.ndarray, ctx: LogDetContext, W_ref: np.ndarray) -> float:
+def logdet_majorizer(
+    W: np.ndarray, ctx: LogDetContext, W_ref: np.ndarray, delta: float
+) -> float:
     """Separable quadratic upper bound of logdet(W^T W + delta I), tight at W_ref.
 
-    Row i contributes its linearization at the reference row plus a diagonal
-    quadratic with weights 2 (A+ + A-) w_ref / w_ref, which dominates the
-    true curvature for strictly positive references.
+    ``ctx`` is built from W_ref and delta; A = A+ - A- is the inverse of the
+    regularized Gram matrix.  Row i contributes its linearization at the
+    reference row plus a diagonal quadratic with weights
+    2 (A+ + A-) w_ref / w_ref, which dominates the true curvature for
+    strictly positive references.
     """
     if W.shape != W_ref.shape:
         raise DimensionError("W and W_ref must have equal shapes")
     if not np.all(W_ref > 0):
         raise PreconditionError("the majorizer reference must be entrywise positive")
-    base = logdet_gram(W_ref, ctx.delta)
+    base = logdet_gram(W_ref, delta)
     diff = W - W_ref
-    grad = 2.0 * W_ref @ ctx.A
+    grad = 2.0 * W_ref @ (ctx.A_plus - ctx.A_minus)
     curv = 2.0 * (W_ref @ (ctx.A_plus + ctx.A_minus)) / W_ref
     return float(base + np.sum(grad * diff) + 0.5 * np.sum(curv * diff * diff))

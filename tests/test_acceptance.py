@@ -204,7 +204,7 @@ def test_criterion_06_majorizer_suite():
     ld = build_logdet_context(W_ref, 0.1)
     report = check_majorizer(
         f=lambda M: logdet_gram(M, 0.1),
-        u=lambda M, ref: logdet_majorizer(M, ld, ref),
+        u=lambda M, ref: logdet_majorizer(M, ld, ref, 0.1),
         x_ref=W_ref,
         samples=200,
         seed=99,

@@ -49,7 +49,7 @@ class TestLogdetMajorizer:
         rng = np.random.default_rng(0)
         W = rng.uniform(0.1, 1.0, (5, 3))
         ctx = build_logdet_context(W, 0.1)
-        assert logdet_majorizer(W, ctx, W) == pytest.approx(
+        assert logdet_majorizer(W, ctx, W, 0.1) == pytest.approx(
             logdet_gram(W, 0.1), abs=1e-10
         )
 
@@ -59,7 +59,7 @@ class TestLogdetMajorizer:
         # orthonormal to within the floor.
         W = np.maximum(np.vstack([np.eye(3), np.zeros((2, 3))]), 1e-9)
         ctx = build_logdet_context(W, 0.1)
-        val = logdet_majorizer(W, ctx, W)
+        val = logdet_majorizer(W, ctx, W, 0.1)
         assert val == pytest.approx(logdet_gram(W, 0.1), abs=1e-10)
         assert val == pytest.approx(3.0 * np.log(1.1), abs=1e-6)
 
@@ -69,7 +69,7 @@ class TestLogdetMajorizer:
         ctx = build_logdet_context(W_ref, 0.1)
         for _ in range(50):
             W = W_ref * rng.uniform(0.3, 1.8, size=W_ref.shape)
-            assert logdet_majorizer(W, ctx, W_ref) >= logdet_gram(W, 0.1) - 1e-9
+            assert logdet_majorizer(W, ctx, W_ref, 0.1) >= logdet_gram(W, 0.1) - 1e-9
 
     def test_check_majorizer_harness(self):
         rng = np.random.default_rng(3)
@@ -77,7 +77,7 @@ class TestLogdetMajorizer:
         ctx = build_logdet_context(W_ref, 0.1)
         report = check_majorizer(
             f=lambda W: logdet_gram(W, 0.1),
-            u=lambda W, R: logdet_majorizer(W, ctx, R),
+            u=lambda W, R: logdet_majorizer(W, ctx, R, 0.1),
             x_ref=W_ref,
             samples=200,
             seed=5,
@@ -89,7 +89,7 @@ class TestLogdetMajorizer:
         W[0, 0] = 0.0
         ctx = build_logdet_context(np.ones((4, 2)), 0.1)
         with pytest.raises(PreconditionError):
-            logdet_majorizer(np.ones((4, 2)), ctx, W)
+            logdet_majorizer(np.ones((4, 2)), ctx, W, 0.1)
 
 
 class TestSimplexWCells:
@@ -226,8 +226,8 @@ class TestAdmmSolve:
 
     def test_warm_multipliers_match_cold_start(self, monkeypatch):
         # At 1e4 times the data scale the multipliers are large; each W step
-        # grows its bracket from the previous step's multipliers and must land
-        # on the W that a bracket grown from zero finds.
+        # starts from the previous step's multipliers and must land on the W
+        # that a cold start finds.
         import deepbnmf.minvol as minvol
 
         W, H, Y, W_bar = column_simplex_instance(12, m=20, r=3, p=40)
@@ -279,7 +279,10 @@ class TestTerminalStep:
             out = minvol_terminal_w_step(Y, W, H, ld, alpha_ratio=0.5)
 
             def surrogate(Wm):
-                return w_fit_majorizer_value(Y, Wm, W, H, 1.0) + 0.5 * logdet_majorizer(Wm, ld, W)
+                return (
+                    w_fit_majorizer_value(Y, Wm, W, H, 1.0)
+                    + 0.5 * logdet_majorizer(Wm, ld, W, 0.1)
+                )
 
             anchor = surrogate(W)
             assert surrogate(out) <= anchor + 1e-12 * max(1.0, abs(anchor))
@@ -314,7 +317,7 @@ def test_admm_descends_its_surrogate():
         def surrogate(Wm):
             return (
                 w_fit_majorizer_value(Y, Wm, W, H, 1.0)
-                + 0.5 * logdet_majorizer(Wm, ld, W)
+                + 0.5 * logdet_majorizer(Wm, ld, W, 0.1)
                 + 0.8 * beta_div_matrix(Wm, W_bar, 1.0)
             )
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deepbnmf.minvol
 import deepbnmf.scalars
+from conftest import assert_started_left_and_rose, recorded_solves
 from deepbnmf.errors import ConfigError, DomainError, NoRootError
 from deepbnmf.scalars import lambert_w0, lambert_w0_exp, lambert_w0_from_log
 from deepbnmf.updates import solve_multipliers
@@ -178,7 +180,8 @@ def column_instance(scale=1.0):
 
 
 def column_map(scale=1.0):
-    """(f, df) of the column sums of ``column_instance``, its count and no lower limit."""
+    """(f, df) of the column sums of ``column_instance``.  They are convex and
+    decreasing on the whole line, so any start converges."""
     from deepbnmf.minvol import simplex_w_cells
 
     cells = column_instance(scale)
@@ -187,12 +190,15 @@ def column_map(scale=1.0):
         w, root = simplex_w_cells(*cells, mu)
         return w.sum(axis=0) - 1.0, -(w / root).sum(axis=0)
 
-    return f_df, 2, None
+    return f_df
 
 
 def half_row_map():
     """(f, df) of the row sums of the beta = 1/2 H map, h = h~ (B / (C + mu))^(2/3),
-    their count and lower limit -min(C); f_df fails at or below that limit."""
+    their domain's lower limit -min(C) and a start left of their roots.
+
+    The row sums are convex and decreasing on that domain; f_df fails at or
+    below its limit."""
     rng = np.random.default_rng(11)
     Ht = rng.uniform(0.05, 1.0, (3, 5))
     Ht /= Ht.sum(axis=1, keepdims=True)
@@ -206,7 +212,9 @@ def half_row_map():
         h = Ht * (B / u) ** (2.0 / 3.0)
         return h.sum(axis=1) - 1.0, (-(2.0 / 3.0) * h / u).sum(axis=1)
 
-    return f_df, 3, lower_limit
+    # h_j = 1 at mu = B_j h~_j^(3/2) - C_j, so the row sum is >= 1 at the largest.
+    left = (B * Ht ** 1.5 - C).max(axis=1)
+    return f_df, lower_limit, left
 
 
 def counting(f_df):
@@ -222,16 +230,15 @@ def counting(f_df):
 
 class TestMonotoneSolve:
     def test_no_sign_change(self):
+        # f > 0 everywhere (convex, decreasing to 1), and f < 0 everywhere
+        # (concave, outside the contract): either way Newton runs off to
+        # infinity, which is reported, not returned.
         positive = lambda mu: (1.0 + np.exp(-mu), -np.exp(-mu))
         negative = lambda mu: (-1.0 - np.exp(mu), -np.exp(mu))
-        for f_df, lower_limit in [
-            (positive, None), (negative, None), (negative, np.array([-3.0]))
-        ]:
-            with pytest.raises(NoRootError):
-                solve_multipliers(f_df, 1, 1e-12, lower_limit)
-            for start in (-5.0, 5.0):
+        for f_df in (positive, negative):
+            for start in (-5.0, 0.0, 5.0):
                 with pytest.raises(NoRootError):
-                    solve_multipliers(f_df, 1, 1e-12, lower_limit, start=np.array([start]))
+                    solve_multipliers(f_df, np.array([start]), 1e-12)
 
     def test_column_sum_instance(self):
         # Column sums of the simplex W map are monotone in the multiplier;
@@ -239,7 +246,7 @@ class TestMonotoneSolve:
         from deepbnmf.minvol import simplex_w_cells
 
         W_tilde, C, S, T = column_instance()
-        f_df, _, _ = column_map()
+        f_df = column_map()
         j = 0
 
         def colsum(mu):
@@ -251,24 +258,29 @@ class TestMonotoneSolve:
         signs = np.sign(values)
         crossings = np.flatnonzero(np.diff(signs) != 0)
         assert len(crossings) == 1
-        root = solve_multipliers(f_df, 2, 1e-10)[j]
+        root = solve_multipliers(f_df, np.zeros(2), 1e-10)[j]
         assert abs(colsum(root)) <= 1e-10
         assert grid[crossings[0]] <= root <= grid[crossings[0] + 1]
 
     @pytest.mark.parametrize(
         "make_map, offset",
-        [(m, d) for m in (column_map, half_row_map) for d in (0.0, 1e-9, -1e-9, 1e3, -1e3, 1e6, -1e6)]
-        + [(half_row_map, "below")],  # under the domain's lower limit
+        [(column_map, d) for d in (0.0, 1e-9, -1e-9, 1e3, -1e3, 1e6, -1e6)]
+        + [(half_row_map, d) for d in (0.0, 1e-9, -1e-9, -1e3, -1e6)],
     )
     def test_warm_start_finds_the_cold_root(self, make_map, offset):
-        f_df, count, lower_limit = make_map()
         tol = 1e-12
-        cold = solve_multipliers(f_df, count, tol, lower_limit)
-        if offset == "below":
-            start = lower_limit - np.array([0.0, 1e-3, 5.0])
-        else:
+        if make_map is column_map:
+            f_df = make_map()
+            cold = solve_multipliers(f_df, np.zeros(2), tol)
             start = cold + offset
-        warm = solve_multipliers(f_df, count, tol, lower_limit, start=start)
+        else:
+            # The domain ends on the left: a start must lie inside it and
+            # left of the root, or just right of it.  Far-left offsets start
+            # near the edge of the domain instead, where f is large.
+            f_df, lower_limit, left = make_map()
+            cold = solve_multipliers(f_df, left, tol)
+            start = np.maximum(cold + offset, lower_limit + 1e-3 * (cold - lower_limit))
+        warm = solve_multipliers(f_df, start, tol)
         assert np.abs(f_df(warm)[0]).max() <= tol
         assert np.abs(warm - cold).max() <= 1e-10
 
@@ -277,19 +289,38 @@ class TestMonotoneSolve:
         [np.zeros(3), np.zeros((2, 1)), np.zeros(1), [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf]],
     )
     def test_bad_start_rejected(self, start):
-        f_df, _, _ = column_map()
         with pytest.raises(ConfigError):
-            solve_multipliers(f_df, 2, 1e-12, start=start)
+            solve_multipliers(column_map(), start, 1e-12)
 
     def test_warm_start_near_root_is_cheap(self):
-        # At 1e4 times the scale the roots lie in the thousands, so the cold
-        # bracket has to double its way out from [-1, 1].
-        f_df, _, _ = column_map(1e4)
+        # At 1e4 times the scale the roots lie in the thousands.
+        f_df = column_map(1e4)
         cold_f = counting(f_df)
-        root = solve_multipliers(cold_f, 2, 1e-12)
+        root = solve_multipliers(cold_f, np.zeros(2), 1e-12)
         assert np.abs(root).min() >= 1e3
         warm_f = counting(f_df)
-        warm = solve_multipliers(warm_f, 2, 1e-12, start=root + np.array([1e-6, -1e-6]))
+        warm = solve_multipliers(warm_f, root + np.array([1e-6, -1e-6]), 1e-12)
         assert np.abs(warm - root).max() <= 1e-10 * np.abs(root).max()
-        assert cold_f.calls >= 10
-        assert warm_f.calls <= 6
+        # One evaluation at the start and one after a single Newton step.
+        assert warm_f.calls <= 2 < cold_f.calls
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 8.0),
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 4)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_certified_start_is_left_of_the_root(self, seed, log_scale, shape):
+        # A cold min-vol column solve starts where one entry alone reaches 1:
+        # there f >= 0, and the Newton iterates rise from it to the root, at
+        # every scale.  test_updates checks the row maps of the H update.
+        rng = np.random.default_rng(seed)
+        c = 10.0 ** log_scale
+        W_tilde = rng.uniform(0.01, 1.0, shape)
+        C = c * rng.uniform(-2.0, 2.0, shape)
+        T = c * rng.uniform(0.5, 2.0, shape)
+        S = 2.0 * T * c * rng.uniform(0.0, 1.5, shape)
+        with recorded_solves(deepbnmf.minvol) as solves:
+            W, _ = deepbnmf.minvol._simplex_w_minimize(W_tilde, C, S, T)
+        assert_started_left_and_rose(solves)
+        assert np.abs(W.sum(axis=0) - 1.0).max() <= 1e-12

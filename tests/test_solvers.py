@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import deepbnmf.solvers
-from conftest import exact_two_layer_chain
+from conftest import exact_two_layer_chain, sparse_chain_data
 from deepbnmf.divergence import beta_div_matrix
 from deepbnmf.errors import ConfigError, DimensionError, DomainError, MonotonicityError
 from deepbnmf.minvol import minvol_factorize
@@ -18,8 +18,9 @@ from deepbnmf.model import (
     SolverConfig,
     init_random,
     logdet_gram,
+    simplex_residual,
 )
-from deepbnmf.solvers import deep_factorize, multilayer_factorize
+from deepbnmf.solvers import MONOTONICITY_REL_SLACK, deep_factorize, multilayer_factorize
 
 DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_30x20.csv"
@@ -349,3 +350,60 @@ class TestSweepDriver:
         _, auto = driver_solve(model, X)
         _, mixed = driver_solve(model, X, lams=(7.0, None))
         assert mixed.lambdas == [7.0, auto.lambdas[1]]
+
+
+MATRIX_CELLS = (
+    [("multilayer", b) for b in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    + [("deep", b) for b in DEEP_BETAS]
+    + [("minvol", 1.0)]
+)
+
+
+def rises(objectives, slack):
+    """Indices where an objective exceeds its predecessor by more than slack.
+
+    Written as a comparison, so equal infinite objectives (the IS divergence
+    of data with zeros) do not count as a rise."""
+    objectives = np.asarray(objectives)
+    return np.flatnonzero(objectives[1:] > objectives[:-1] + slack(objectives[:-1]))
+
+
+@pytest.mark.filterwarnings("ignore:layer 1 divergence is inf:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:.*inner ADMM solves stopped:RuntimeWarning")
+@pytest.mark.parametrize("scale", (1e-6, 1.0, 1e8))
+@pytest.mark.parametrize("seed", (10090, 7063))
+@pytest.mark.parametrize("solver, beta", MATRIX_CELLS)
+def test_solver_beta_scale_matrix(solver, beta, seed, scale):
+    # Every solver at every beta it accepts, on a sparse chain scaled from
+    # 1e-6 to 1e8: the multipliers scale with the data, so no cell may fail.
+    X = scale * sparse_chain_data(seed, m=40, n=30, ranks=(8, 5, 3))
+    ranks = (8, 5, 3)
+    relative = lambda prev: MONOTONICITY_REL_SLACK * np.maximum(1.0, np.abs(prev))
+    if solver == "multilayer":
+        config = SolverConfig(beta=beta, layers=[LayerSpec(r) for r in ranks], max_sweeps=40)
+        state, trace = multilayer_factorize(X, config)
+        errors = np.array([rec.layer_errors for rec in trace.records])
+        for k in range(len(ranks)):
+            assert rises(errors[40 * k : 40 * (k + 1), k], relative).size == 0
+        constraint = ROW_SIMPLEX_H
+    elif solver == "deep":
+        config = SolverConfig(
+            beta=beta, layers=[LayerSpec(r) for r in ranks], max_sweeps=20, warm_start_sweeps=20
+        )
+        state, trace = deep_factorize(X, config)
+        assert rises(trace.objectives(), relative).size == 0
+        constraint = ROW_SIMPLEX_H
+    else:
+        config = SolverConfig(
+            beta=1.0,
+            layers=[LayerSpec(3, alpha=0.5), LayerSpec(2, alpha=0.1)],
+            max_sweeps=20,
+            warm_start_sweeps=20,
+        )
+        state, trace = minvol_factorize(X, config)
+        budget = 10.0 * config.admm_tol * (sum(config.alphas()) + sum(trace.lambdas))
+        assert rises(trace.objectives(), lambda prev: budget).size == 0
+        constraint = COLUMN_SIMPLEX_W
+    for M in state.W + state.H:
+        assert np.all(np.isfinite(M)) and np.all(M > 0)
+    assert simplex_residual(state, constraint) <= 1e-10

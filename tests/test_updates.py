@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deepbnmf.updates
+from conftest import assert_started_left_and_rose, recorded_solves
 from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
 from deepbnmf.errors import ConfigError, DimensionError, PreconditionError
 from deepbnmf.updates import (
@@ -27,6 +29,8 @@ from oracles import (
 )
 
 INNER_BETAS = (0.0, 0.5, 1.0, 1.5)
+# The betas whose simplex H update solves for one multiplier per row.
+SOLVED_BETAS = (0.0, 0.5, 1.5, 2.0)
 
 
 def random_instance(seed, m=5, r=3, n=6, simplex_rows=True):
@@ -37,6 +41,36 @@ def random_instance(seed, m=5, r=3, n=6, simplex_rows=True):
         H /= H.sum(axis=1, keepdims=True)
     Y = rng.uniform(0.05, 2.0, (m, n))
     return W, H, Y
+
+
+def implied_multipliers(W, Y, H_tilde, H, beta):
+    """The row multiplier each positive entry of H implies through the
+    stationarity of the H majorizer, the size of the terms it is the
+    difference of, and the least multiplier that keeps a zero entry at zero.
+
+    With V = W H~ the stationarity reads, for beta = 1/2 (e = 2/3) and
+    beta = 0 (e = 1/2), mu = B (h~/h)^(1/e) - C with B = W^T (Y V^(beta-2))
+    and C = W^T V^(beta-1), and h = 0 needs mu >= -C; for beta = 3/2,
+    mu = B/x - A x with x = sqrt(h/h~), B = W^T (Y/sqrt V) and
+    A = W^T sqrt V; for beta = 2, mu = B - A h/h~ with B = W^T Y and
+    A = W^T V.  For those two, h = 0 needs mu >= B.
+    """
+    V = W @ H_tilde
+    # Entries at the floor overflow; the caller leaves them out.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if beta in (0.0, 0.5):
+            B = W.T @ (Y * V ** (beta - 2.0))
+            C = W.T @ V ** (beta - 1.0)
+            terms = B * (H_tilde / H) ** (1.5 if beta == 0.5 else 2.0)
+            return terms - C, np.maximum(terms, C), -C
+        if beta == 1.5:
+            B = W.T @ (Y / np.sqrt(V))
+            A = W.T @ np.sqrt(V)
+            x = np.sqrt(H / H_tilde)
+            return B / x - A * x, np.maximum(B / x, A * x), B
+    B = W.T @ Y
+    pull = (W.T @ V) * H / H_tilde
+    return B - pull, np.maximum(B, pull), B
 
 
 def brute_force_cell(surrogate, M, cell):
@@ -135,6 +169,48 @@ class TestHSimplex:
     def test_nonpositive_iterate_rejected(self):
         with pytest.raises(PreconditionError):
             update_h_simplex(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), 1.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 8.0),
+        beta=st.sampled_from(SOLVED_BETAS),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(2, 6)),
+        sparse=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    # Rows where a zero-data entry stops the multiplier and takes the rest.
+    @example(seed=1, log_scale=-1.0, beta=0.5, shape=(1, 2, 2), sparse=True)
+    @example(seed=0, log_scale=0.0, beta=0.0, shape=(1, 2, 3), sparse=True)
+    def test_certified_at_every_scale(self, seed, log_scale, beta, shape, sparse):
+        # The update minimizes its majorizer over the simplex at data scales
+        # 1e-6 to 1e8: it does not raise the majorizer above its anchor
+        # value, and every row meets the KKT conditions with one multiplier.
+        # Each row's solve starts left of its root and rises to it.
+        m, r, n = shape
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(0.05, 1.0, (m, r))
+        H_tilde = rng.uniform(0.05, 1.0, (r, n))
+        H_tilde /= H_tilde.sum(axis=1, keepdims=True)
+        Y = 10.0 ** log_scale * rng.uniform(0.05, 2.0, (m, n))
+        if sparse:
+            Y[:, 1:] *= rng.uniform(size=(m, n - 1)) < 0.5
+        with recorded_solves(deepbnmf.updates) as solves:
+            H = update_h_simplex(W, Y, H_tilde, beta, eps=1e-300)
+        assert len(solves) == 1
+        assert_started_left_and_rose(solves)
+        assert np.abs(H.sum(axis=1) - 1.0).max() <= 1e-12
+        before = beta_fit_majorizer_value(W, Y, H_tilde, H_tilde, beta)
+        after = beta_fit_majorizer_value(W, Y, H, H_tilde, beta)
+        # Zero data makes the IS divergence, and so its majorizer, infinite.
+        assert after <= before + 1e-10 * abs(before) or np.isinf(before)
+
+        mu, size, bound = implied_multipliers(W, Y, H_tilde, H, beta)
+        on = H > 1e-280
+        for k in range(r):
+            row_mu = mu[k, on[k]]
+            tol = 1e-8 * size[k, on[k]].max()
+            assert row_mu.max() - row_mu.min() <= tol
+            assert np.all(bound[k, ~on[k]] <= row_mu.min() + tol)
 
 
 class TestWInner:
