@@ -23,7 +23,6 @@ from .errors import (
     MonotonicityError,
     NoRootError,
     ParseError,
-    PreconditionError,
 )
 from .metrics import (
     compare_runs,

@@ -39,9 +39,9 @@ def mu_exponent(beta: float) -> float:
 
     Equals ``1/(2-beta)`` below 1 and ``1`` on [1, 2], which is the exponent
     that makes one multiplicative step coincide with the majorizer minimizer.
+    ``beta`` must be one of ``SUPPORTED_BETAS`` (not checked).
     """
-    b = check_beta(beta)
-    return 1.0 / (2.0 - b) if b < 1.0 else 1.0
+    return 1.0 / (2.0 - beta) if beta < 1.0 else 1.0
 
 
 def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:

@@ -17,10 +17,6 @@ class ConfigError(DeepBnmfError):
     """A solver configuration value is unsupported or inconsistent."""
 
 
-class PreconditionError(DeepBnmfError):
-    """A documented precondition of a numerical kernel does not hold."""
-
-
 class NoRootError(DeepBnmfError):
     """A root search diverged or stalled above its tolerance."""
 

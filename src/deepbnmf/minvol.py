@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .divergence import beta_div_matrix
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError
 from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
@@ -51,8 +51,7 @@ class LogDetContext:
 
 
 def build_logdet_context(W_ref: np.ndarray, delta: float) -> LogDetContext:
-    if not delta > 0:
-        raise ConfigError("delta must be positive")
+    """Curvature data at ``W_ref`` for a positive ``delta`` (not checked)."""
     gram = W_ref.T @ W_ref + delta * np.eye(W_ref.shape[1])
     A = np.linalg.inv(gram)
     A = 0.5 * (A + A.T)
@@ -110,9 +109,8 @@ def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float
 
 
 def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: float):
-    """Last-layer W update: the ADMM W step without its coupling terms (rho = 0)."""
-    if not alpha_ratio > 0:
-        raise ConfigError("alpha_ratio must be positive")
+    """Last-layer W update: the ADMM W step without its coupling terms (rho = 0);
+    unchecked preconditions: positive factors, chain shapes, ``alpha_ratio > 0``."""
     C, S, T = _w_step_terms(Y, W_tilde, H, ldctx, 0.0, alpha_ratio)
     return _simplex_w_minimize(W_tilde, C, S, T)[0]
 
@@ -123,11 +121,8 @@ def z_min_step(W_bar: np.ndarray, V: np.ndarray, nu: float):
     The optimality condition log(z / w_bar) + nu (z - v) = 0 is solved per
     entry through the Lambert W function of exp(log(nu * w_bar) + nu * v),
     evaluated in the log domain when the argument would overflow.
+    Unchecked preconditions: ``W_bar`` strictly positive and ``nu > 0``.
     """
-    if not nu > 0:
-        raise ConfigError("nu must be positive")
-    if np.any(W_bar <= 0):
-        raise PreconditionError("W_bar must be entrywise positive")
     t = np.log(nu) + np.log(W_bar) + nu * V
     return lambert_w0_exp(t) / nu
 
@@ -155,7 +150,7 @@ def admm_solve_w(
     rho: float = 100.0,
     max_iter: int = 50,
     tol: float = 1e-6,
-    eps: Optional[float] = None,
+    eps: float = MACHINE_EPS,
 ) -> Tuple[np.ndarray, AdmmRun]:
     """Inner ADMM for an intermediate-layer W of the min-vol model.
 
@@ -164,12 +159,9 @@ def admm_solve_w(
     below ``tol`` or the iteration budget runs out (then the best iterate is
     returned with ``converged=False``; the outer solver tolerates inexact
     inner solves).  The returned W is floored and column-renormalized, which
-    absorbs the residual split infeasibility.
+    absorbs the residual split infeasibility.  Unchecked preconditions:
+    ``ctx`` as documented, and positive ``alpha_ratio`` and ``rho``.
     """
-    if eps is None:
-        eps = MACHINE_EPS
-    if not rho > 0 or not alpha_ratio > 0:
-        raise ConfigError("rho and alpha_ratio must be positive")
     nu = rho / ctx.lambda_ratio
     C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio)
     W = ctx.W_tilde.copy()

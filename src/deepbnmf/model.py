@@ -248,10 +248,9 @@ def auto_balance_weights(state: DeepState, beta) -> List[float]:
     Layers that already fit exactly get weight 1 and a warning, since the
     reciprocal is undefined there.
     """
-    b = check_beta(beta)
     weights = []
     for i in range(state.num_layers):
-        div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], b)
+        div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], beta)
         if div > 0 and np.isfinite(div):
             weights.append(1.0 / div)
         else:
@@ -268,11 +267,9 @@ def auto_balance_weights(state: DeepState, beta) -> List[float]:
 def logdet_gram(W: np.ndarray, delta: float) -> float:
     """log det(W^T W + delta I) via symmetric eigenvalues.
 
-    delta > 0 keeps the Gram matrix positive definite; going through
-    eigenvalues avoids overflowing a raw determinant.
+    delta > 0 (not checked) keeps the Gram matrix positive definite; going
+    through eigenvalues avoids overflowing a raw determinant.
     """
-    if not delta > 0:
-        raise ConfigError("delta must be positive")
     gram = W.T @ W + delta * np.eye(W.shape[1])
     eigvals = np.linalg.eigvalsh(gram)
     return float(np.sum(np.log(eigvals)))
@@ -298,13 +295,9 @@ def eval_objective(
     KL divergence only.  Every layer's log-det is reported for both models
     but weighted only for min-vol: in the plain model it is a diagnostic,
     since a collapsing value flags W layers drifting toward rank deficiency
-    (a known failure mode when deep layers are over-weighted).
+    (a known failure mode when deep layers are over-weighted).  Unchecked
+    preconditions: consistent shapes; ``model`` "plain", or "minvol" at beta 1.
     """
-    state.check_dims()
-    if model not in ("plain", "minvol"):
-        raise ConfigError(f"unknown model {model!r}")
-    if model == "minvol" and config.beta != 1.0:
-        raise ConfigError("the min-vol model is defined for beta = 1 only")
     lams = config.lambdas()
     alphas = config.alphas()
     per_layer = []
@@ -326,17 +319,15 @@ def eval_objective(
 
 
 def simplex_residual(state: DeepState, constraint: Constraint) -> float:
-    """Worst deviation from one of the constrained sums (rows of H or columns of W)."""
+    """Worst deviation from one of the constrained sums (rows of H or columns of W);
+    NaN if a sum is NaN (``np.max`` keeps it, where Python's ``max`` may not)."""
     if constraint == ROW_SIMPLEX_H:
         sums = [h.sum(axis=1) for h in state.H]
     elif constraint == COLUMN_SIMPLEX_W:
         sums = [w.sum(axis=0) for w in state.W]
     else:
         raise ConfigError(f"unknown constraint {constraint!r}")
-    worst = 0.0
-    for s in sums:
-        worst = max(worst, float(np.abs(s - 1.0).max()))
-    return worst
+    return float(np.max([0.0] + [np.abs(s - 1.0).max() for s in sums]))
 
 
 def _column_normalize_chain(state: DeepState):

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, MonotonicityError
+from .errors import ConfigError, DomainError, MonotonicityError
 from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
@@ -78,12 +78,15 @@ def multilayer_factorize(
         target = state.prev_w(i)
         layer_config = replace(config, layers=[LayerSpec(spec.rank, lam=1.0)])
         # Layer i's initial factors move out of state, so run_sweeps frees them once floored.
-        fitted, layer_trace = run_sweeps(
-            target,
-            layer_config,
-            DeepState(X=target, W=[state.W.pop(i)], H=[state.H.pop(i)]),
-            DeepBlocks(layer_config),
-        )
+        try:
+            fitted, layer_trace = run_sweeps(
+                target,
+                layer_config,
+                DeepState(X=target, W=[state.W.pop(i)], H=[state.H.pop(i)]),
+                DeepBlocks(layer_config),
+            )
+        except DomainError as err:  # run_sweeps names the layer of its one-layer problem
+            raise DomainError(f"{err} of the one-layer problem for layer {i + 1}") from err
         for rec in layer_trace.records:
             errors[i] = rec.layer_errors[0]
             known = [e for e in errors if np.isfinite(e)]
@@ -93,7 +96,7 @@ def multilayer_factorize(
                     total_objective=float(np.dot(lams[: len(known)], known)),
                     layer_errors=tuple(errors),
                     logdet_terms=logdets[:i] + rec.logdet_terms + logdets[i:],
-                    max_residual=max(residual, rec.max_residual),
+                    max_residual=float(np.maximum(residual, rec.max_residual)),  # keeps NaN
                     seconds=rec.seconds,
                 )
             )
@@ -152,12 +155,18 @@ def run_sweeps(
     ``blocks.slack(previous_total, lams)`` (else ``MonotonicityError``).
     The trace's log-det columns are the objective's per-layer log-dets.  A
     positive ``config.rel_obj_tol`` stops the run early.
+
+    The block kernels check nothing; here the data and a warm state are
+    checked, the floor makes the factors positive, and a factor that is not
+    finite, in ``warm`` or after a sweep, raises ``DomainError``.
     """
     eps = config.eps_floor
     column_w = blocks.constraint == COLUMN_SIMPLEX_W
     if warm is not None:
         state = DeepState(X=check_data(X), W=list(warm.W), H=list(warm.H))
         state.check_dims()
+        if not all(np.isfinite(M).all() for M in state.W + state.H):
+            raise DomainError("warm factors must be finite")
         del warm  # the floors below free the factors no caller holds any more
     elif config.warm_start_sweeps > 0:
         state, _ = multilayer_factorize(X, replace(config, max_sweeps=config.warm_start_sweeps))
@@ -184,6 +193,9 @@ def run_sweeps(
         started = time.perf_counter()
         for i in range(state.num_layers):
             blocks.update_layer(state, i, lams)
+        for i in range(state.num_layers):
+            if not (np.isfinite(state.W[i]).all() and np.isfinite(state.H[i]).all()):
+                raise DomainError(f"non-finite factor after sweep {sweep}, in layer {i + 1}")
         total, per_layer = eval_objective(state, config, blocks.model)
         slack = blocks.slack(previous_total, lams)
         if total > previous_total + slack:

@@ -15,7 +15,8 @@ Each kernel minimizes the standard separable majorizer of its block objective
   multiplicative update step.
 
 All kernels floor their outputs elementwise, which combined with strictly
-positive initialization rules out multiplicative zero-locking.
+positive initialization rules out multiplicative zero-locking.  They check
+none of their inputs: each states the preconditions ``run_sweeps`` establishes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import check_beta, mu_exponent
-from .errors import ConfigError, DimensionError, NoRootError, PreconditionError
+from .divergence import mu_exponent
+from .errors import ConfigError, NoRootError
 from .model import MACHINE_EPS
 from .scalars import lambert_w0_exp
 
@@ -37,15 +38,8 @@ _ROW_SUM_CONTRACT = 1e-10
 
 
 def epsilon_floor(M: np.ndarray, eps: float) -> np.ndarray:
-    """Elementwise max(M, eps); the perturbation that keeps factors positive."""
-    if not eps > 0:
-        raise ConfigError("eps must be positive")
-    return np.maximum(np.asarray(M, dtype=float), eps)
-
-
-def _require_positive(name, M):
-    if M.size == 0 or not np.all(M > 0):
-        raise PreconditionError(f"{name} must be entrywise positive")
+    """Elementwise max(M, eps) in float64, for eps > 0; NaN entries stay NaN."""
+    return np.maximum(M, eps, dtype=float)
 
 
 def solve_multipliers(f_df, start, tol):
@@ -93,28 +87,18 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
     coefficient of the entrywise closed form and is solved per row.
 
     Rows whose update numerator vanishes identically (all-zero data) are
-    returned unchanged with a warning.
+    returned unchanged with a warning.  Unchecked preconditions: ``W`` (m, r)
+    and ``H_tilde`` (r, n) positive, ``Y`` (m, n) nonnegative, a supported beta.
     """
-    b = check_beta(beta)
-    W = np.asarray(W, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    H_tilde = np.asarray(H_tilde, dtype=float)
-    m, r = W.shape
-    if Y.shape[0] != m or H_tilde.shape != (r, Y.shape[1]):
-        raise DimensionError(
-            f"inconsistent shapes: W {W.shape}, Y {Y.shape}, H {H_tilde.shape}"
-        )
-    _require_positive("W", W)
-    _require_positive("H_tilde", H_tilde)
     V = W @ H_tilde
 
-    if b == 1.0:
+    if beta == 1.0:
         numer = H_tilde * (W.T @ (Y / V))
         sums = numer.sum(axis=1)
         dead = sums <= 0
         H = numer / np.where(dead, 1.0, sums)[:, None]
     else:
-        H, dead = _h_simplex_general(W, Y, H_tilde, V, b)
+        H, dead = _h_simplex_general(W, Y, H_tilde, V, beta)
     if dead.any():
         warnings.warn(
             f"rows {np.flatnonzero(dead).tolist()} have an identically zero "
@@ -243,17 +227,12 @@ def _h_simplex_general(W, Y, H_tilde, V, b):
 
 
 def update_h_plain(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
-    """One classical multiplicative update of H for D_beta(Y, W H), no constraint."""
-    b = check_beta(beta)
-    W = np.asarray(W, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    H_tilde = np.asarray(H_tilde, dtype=float)
-    _require_positive("W", W)
-    _require_positive("H_tilde", H_tilde)
+    """One classical multiplicative update of H for D_beta(Y, W H), no constraint;
+    unchecked preconditions as for ``update_h_simplex``."""
     V = W @ H_tilde
-    numer = W.T @ (Y * V ** (b - 2.0))
-    denom = W.T @ V ** (b - 1.0)
-    H = H_tilde * (numer / denom) ** mu_exponent(b)
+    numer = W.T @ (Y * V ** (beta - 2.0))
+    denom = W.T @ V ** (beta - 1.0)
+    H = H_tilde * (numer / denom) ** mu_exponent(beta)
     return epsilon_floor(H, eps)
 
 
@@ -263,7 +242,8 @@ class InnerWContext:
 
     ``Y ~ W H`` is the fit below, ``W_bar`` the reconstruction from the layer
     above, and ``lambda_ratio`` the weight of the proximity term relative to
-    the fit term.
+    the fit term.  Unchecked preconditions: ``Y`` is (m, n), ``H`` (r, n),
+    ``W_tilde`` and ``W_bar`` (m, r), the factors positive, ``lambda_ratio > 0``.
     """
 
     Y: np.ndarray
@@ -272,41 +252,28 @@ class InnerWContext:
     W_bar: np.ndarray
     lambda_ratio: float
 
-    def __post_init__(self):
-        m, r = self.W_tilde.shape
-        if self.Y.shape[0] != m or self.H.shape != (r, self.Y.shape[1]):
-            raise DimensionError("Y, W_tilde, H shapes are not chain-consistent")
-        if self.W_bar.shape != (m, r):
-            raise DimensionError("W_bar must have the shape of W_tilde")
-        if not self.lambda_ratio > 0:
-            raise ConfigError("lambda_ratio must be positive")
-        _require_positive("W_tilde", self.W_tilde)
-        _require_positive("W_bar", self.W_bar)
-
 
 def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS):
-    """Entrywise minimizer of fit-majorizer + lam * D_beta(w, w_bar) over w >= 0."""
-    b = check_beta(beta)
-    if b not in (0.0, 0.5, 1.0, 1.5):
-        raise ConfigError(f"inner W update supports beta in (0, 1/2, 1, 3/2), got {b}")
+    """Entrywise minimizer of fit-majorizer + lam * D_beta(w, w_bar) over w >= 0;
+    unchecked preconditions: ``ctx`` as documented, beta in {0, 1/2, 1, 3/2}."""
     Y, Wt, H, Wb = ctx.Y, ctx.W_tilde, ctx.H, ctx.W_bar
     lam = float(ctx.lambda_ratio)
     V = Wt @ H
-    if b == 1.0:
+    if beta == 1.0:
         B = Wt * ((Y / V) @ H.T)
         A = H.sum(axis=1)[None, :] - lam * np.log(Wb)
         W = kl_inner_cells(B, A, lam)
-    elif b == 1.5:
+    elif beta == 1.5:
         sqv = np.sqrt(V)
         A = Wt ** -0.5 * (sqv @ H.T) + 2.0 * lam
         B = Wt ** 0.5 * ((Y / sqv) @ H.T)
         C = 2.0 * lam * np.sqrt(Wb)
         W = three_half_inner_cells(A, B, C)
-    elif b == 0.0:
+    elif beta == 0.0:
         A = Wt ** 2 * ((Y / V ** 2) @ H.T)
         C = (1.0 / V) @ H.T + lam / Wb
         W = is_inner_cells(A, C, lam)
-    else:  # b == 0.5
+    else:  # beta == 0.5
         cbar = (V ** -0.5) @ H.T + 2.0 * lam * Wb ** -0.5
         abar = Wt ** 1.5 * ((Y / V ** 1.5) @ H.T)
         W = half_inner_cells(abar, cbar, lam)
@@ -370,15 +337,10 @@ def half_inner_cells(abar, cbar, lam):
 
 
 def update_w_terminal(Y, W_tilde, H, beta, eps: float = MACHINE_EPS):
-    """One classical multiplicative update of W for D_beta(Y, W H)."""
-    b = check_beta(beta)
-    Y = np.asarray(Y, dtype=float)
-    W_tilde = np.asarray(W_tilde, dtype=float)
-    H = np.asarray(H, dtype=float)
-    _require_positive("W_tilde", W_tilde)
-    _require_positive("H", H)
+    """One classical multiplicative update of W for D_beta(Y, W H); unchecked
+    preconditions as for ``update_h_simplex``, with ``W_tilde`` in place of W."""
     V = W_tilde @ H
-    numer = (Y * V ** (b - 2.0)) @ H.T
-    denom = V ** (b - 1.0) @ H.T
-    W = W_tilde * (numer / denom) ** mu_exponent(b)
+    numer = (Y * V ** (beta - 2.0)) @ H.T
+    denom = V ** (beta - 1.0) @ H.T
+    W = W_tilde * (numer / denom) ** mu_exponent(beta)
     return epsilon_floor(W, eps)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from deepbnmf.divergence import INFINITE_DIVERGENCE, _beta_div_cells, check_beta
-from deepbnmf.errors import ConfigError, DimensionError, PreconditionError
+from deepbnmf.errors import ConfigError, DimensionError
 from deepbnmf.minvol import LogDetContext
 from deepbnmf.model import logdet_gram
 
@@ -265,7 +265,7 @@ def logdet_majorizer(
     if W.shape != W_ref.shape:
         raise DimensionError("W and W_ref must have equal shapes")
     if not np.all(W_ref > 0):
-        raise PreconditionError("the majorizer reference must be entrywise positive")
+        raise ValueError("the majorizer reference must be entrywise positive")
     base = logdet_gram(W_ref, delta)
     diff = W - W_ref
     grad = 2.0 * W_ref @ (ctx.A_plus - ctx.A_minus)

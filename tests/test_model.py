@@ -149,12 +149,6 @@ class TestEvalObjective:
         assert per_layer[1].logdet == pytest.approx(0.190620, abs=1e-6)
         assert total == pytest.approx(per_layer[0].logdet * 0.0 + 2.0 * math.log(1.1), abs=1e-10)
 
-    def test_minvol_requires_kl(self):
-        X, W, H = exact_two_layer_chain(3)
-        state = DeepState(X=X, W=W, H=H)
-        with pytest.raises(ConfigError):
-            eval_objective(state, two_layer_config(beta=1.5), "minvol")
-
     def test_unresolved_lambda_rejected(self):
         X, W, H = exact_two_layer_chain(3)
         state = DeepState(X=X, W=W, H=H)
@@ -190,6 +184,13 @@ class TestValidateState:
         state = init_random(X, [LayerSpec(3), LayerSpec(2)], seed=0, constraint=ROW_SIMPLEX_H)
         state.H[0][0] = state.H[0][0] * 1.01
         assert simplex_residual(state, ROW_SIMPLEX_H) == pytest.approx(0.01, abs=1e-9)
+
+    def test_simplex_residual_keeps_nan(self):
+        X = np.random.default_rng(0).uniform(0.1, 1.0, (5, 5))
+        for layer in (0, 1):
+            state = init_random(X, [LayerSpec(3), LayerSpec(2)], seed=0, constraint=ROW_SIMPLEX_H)
+            state.H[layer][1, 0] = np.nan
+            assert np.isnan(simplex_residual(state, ROW_SIMPLEX_H))
 
     def test_dims_checked(self):
         X, W, H = exact_two_layer_chain(3)

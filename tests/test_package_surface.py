@@ -3,7 +3,8 @@
 The roots are the names the package namespace re-exports, ``cli.main``, the
 names the benchmark's tracer wraps (``perfbench/tracer.py`` ``WRAPS``) and the
 names ``perfbench/`` imports.  A definition that only tests reach belongs in
-``tests/oracles.py``, not in ``src/``.
+``tests/oracles.py``, not in ``src/``.  And no module of the package imports a
+name it does not use.
 """
 
 import ast
@@ -66,3 +67,29 @@ def test_every_definition_is_reachable():
             todo.extend(uses.get(name, ()))
     unreached = sorted(defs - reached)
     assert not unreached, f"defined in src/ but reached only by tests: {unreached}"
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; elsewhere a name an import binds must
+    # be used in its module, unless its line says "# noqa: F401" (the names
+    # perfbench/tracer.py WRAPS patches on a module that does not call them).
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"unused imports: {unused}"

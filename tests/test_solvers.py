@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import deepbnmf.minvol
 import deepbnmf.solvers
 from conftest import exact_two_layer_chain, sparse_chain_data
 from deepbnmf.divergence import beta_div_matrix
@@ -103,6 +104,20 @@ class TestMultilayer:
         with pytest.raises(MonotonicityError):
             multilayer_factorize(np.random.default_rng(2).uniform(0.1, 1.0, (6, 6)), cfg)
         assert len(calls) == 2
+
+    def test_nan_residual_reaches_the_trace(self, monkeypatch):
+        # Only layer 2's own sweeps fit a target with 3 columns; their NaN
+        # residual must survive the max with the other layers' residual.
+        real = deepbnmf.solvers.simplex_residual
+        monkeypatch.setattr(
+            deepbnmf.solvers,
+            "simplex_residual",
+            lambda state, c: np.nan if state.X.shape[1] == 3 else real(state, c),
+        )
+        cfg = SolverConfig(beta=1.0, layers=[LayerSpec(3), LayerSpec(2)], max_sweeps=2, seed=0)
+        _, trace = multilayer_factorize(np.random.default_rng(2).uniform(0.1, 1.0, (6, 6)), cfg)
+        residuals = trace.max_residuals()
+        assert np.all(residuals[:2] <= 1e-10) and np.all(np.isnan(residuals[2:]))
 
     def test_trace_structure(self):
         X = np.random.default_rng(4).uniform(0.1, 1.0, (10, 8))
@@ -283,6 +298,19 @@ class TestSweepDriver:
         for a, b in zip(state.W + state.H, full_state.W + full_state.H):
             assert np.allclose(a, b, rtol=1e-8, atol=1e-14)
 
+    @pytest.mark.parametrize("factor, index, bad", [("W", 1, np.nan), ("H", 0, np.inf)])
+    def test_non_finite_warm_factor_rejected(self, model, factor, index, bad, monkeypatch):
+        X = driver_data()
+        warm, _ = driver_solve(model, X)
+        getattr(warm, factor)[index][1, 0] = bad
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran on a non-finite warm state")
+
+        monkeypatch.setattr(deepbnmf.solvers, "eval_objective", no_sweep)
+        with pytest.raises(DomainError, match="warm factors must be finite"):
+            driver_solve(model, X, warm=warm)
+
     def test_warm_factors_must_fit_x(self, model):
         warm, _ = driver_solve(model, driver_data())
         with pytest.raises(DimensionError):
@@ -350,6 +378,44 @@ class TestSweepDriver:
         _, auto = driver_solve(model, X)
         _, mixed = driver_solve(model, X, lams=(7.0, None))
         assert mixed.lambdas == [7.0, auto.lambdas[1]]
+
+
+# The block update that returns a NaN entry on its third call, and where the
+# sweep driver must then stop: the third sweep's last layer for the deep and
+# min-vol solvers (two layers, no warm start), and the first sweep of layer
+# 2's one-layer problem for multilayer (two sweeps per layer).
+NAN_ON_THIRD_CALL = {
+    "deep": (deepbnmf.solvers, "update_w_terminal", r"after sweep 2, in layer 2$"),
+    "minvol": (deepbnmf.minvol, "minvol_terminal_w_step", r"after sweep 2, in layer 2$"),
+    "multilayer": (
+        deepbnmf.solvers,
+        "update_w_terminal",
+        r"after sweep 0, in layer 1 of the one-layer problem for layer 2$",
+    ),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(NAN_ON_THIRD_CALL))
+def test_non_finite_block_output_names_sweep_and_layer(solver, monkeypatch):
+    module, name, message = NAN_ON_THIRD_CALL[solver]
+    real = getattr(module, name)
+    calls = []
+
+    def nan_on_third_call(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(name)
+        if len(calls) == 3:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(module, name, nan_on_third_call)
+    with pytest.raises(DomainError, match=message):
+        if solver == "multilayer":
+            cfg = SolverConfig(beta=1.0, layers=driver_layers("deep"), max_sweeps=2)
+            multilayer_factorize(driver_data(), cfg)
+        else:
+            driver_solve(solver, driver_data(), warm_start_sweeps=0)
+    assert len(calls) == 3
 
 
 MATRIX_CELLS = (

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import deepbnmf.updates
 from conftest import assert_started_left_and_rose, recorded_solves
 from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
-from deepbnmf.errors import ConfigError, DimensionError, PreconditionError
 from deepbnmf.updates import (
     InnerWContext,
     epsilon_floor,
@@ -100,9 +99,10 @@ class TestEpsilonFloor:
         out = epsilon_floor(np.array([[-0.0]]), 1e-16)
         assert out[0, 0] == 1e-16
 
-    def test_requires_positive_eps(self):
-        with pytest.raises(ConfigError):
-            epsilon_floor(np.ones((1, 1)), 0.0)
+    def test_float64_output(self):
+        # A warm state's float32 factors leave the solver's first floor in float64.
+        out = epsilon_floor(np.ones((1, 2), dtype=np.float32), 1e-16)
+        assert out.dtype == np.float64 and out[0, 0] == 1.0
 
 
 class TestHSimplex:
@@ -161,14 +161,6 @@ class TestHSimplex:
         with pytest.warns(RuntimeWarning):
             H = update_h_simplex(W, Y, H_tilde, 1.0)
         assert H == pytest.approx(H_tilde, abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            update_h_simplex(np.ones((3, 2)), np.ones((3, 4)), np.ones((2, 3)), 1.0)
-
-    def test_nonpositive_iterate_rejected(self):
-        with pytest.raises(PreconditionError):
-            update_h_simplex(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), 1.0)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -266,11 +258,6 @@ class TestWInner:
                 Wm, W_bar, beta
             )
             assert block(W_new) <= block(W) + 1e-10 * max(1.0, abs(block(W)))
-
-    def test_beta_two_rejected(self):
-        ctx = self.make_ctx(5)
-        with pytest.raises(ConfigError):
-            update_w_inner(ctx, 2.0)
 
     def test_output_positive(self):
         ctx = self.make_ctx(6)
