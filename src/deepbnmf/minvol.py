@@ -119,8 +119,8 @@ def z_min_step(W_bar: np.ndarray, V: np.ndarray, nu: float):
     """Entrywise minimizer of d_KL(z, w_bar) + (nu/2) (z - v)^2.
 
     The optimality condition log(z / w_bar) + nu (z - v) = 0 is solved per
-    entry through the Lambert W function of exp(log(nu * w_bar) + nu * v),
-    evaluated in the log domain when the argument would overflow.
+    entry as z = W(e^t) / nu with t = log(nu * w_bar) + nu * v; the Lambert
+    kernel takes t itself, so e^t is never formed.
     Unchecked preconditions: ``W_bar`` strictly positive and ``nu > 0``.
     """
     t = np.log(nu) + np.log(W_bar) + nu * V

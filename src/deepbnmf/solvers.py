@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MonotonicityError
+from .errors import ConfigError, DimensionError, DomainError, MonotonicityError
 from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
@@ -157,14 +157,18 @@ def run_sweeps(
     positive ``config.rel_obj_tol`` stops the run early.
 
     The block kernels check nothing; here the data and a warm state are
-    checked, the floor makes the factors positive, and a factor that is not
-    finite, in ``warm`` or after a sweep, raises ``DomainError``.
+    checked (its chain must fit ``X`` and its ranks equal ``config.ranks``),
+    the floor makes the factors positive, and a factor that is not finite,
+    in ``warm`` or after a sweep, raises ``DomainError``.
     """
     eps = config.eps_floor
     column_w = blocks.constraint == COLUMN_SIMPLEX_W
     if warm is not None:
         state = DeepState(X=check_data(X), W=list(warm.W), H=list(warm.H))
         state.check_dims()
+        warm_ranks = [w.shape[1] for w in state.W]
+        if warm_ranks != config.ranks:
+            raise DimensionError(f"warm ranks {warm_ranks} differ from config ranks {config.ranks}")
         if not all(np.isfinite(M).all() for M in state.W + state.H):
             raise DomainError("warm factors must be finite")
         del warm  # the floors below free the factors no caller holds any more

@@ -283,8 +283,9 @@ def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS):
 def kl_inner_cells(B, A, lam):
     """Solve a = b/w - lam*log(w) entrywise: w = b / (lam * W0(b e^{a/lam}/lam)).
 
-    Evaluated through the log of the Lambert argument so huge exponents never
-    overflow; b = 0 cells take the analytic limit e^{-a/lam}.
+    The Lambert kernel takes the log of its argument, t = log(b) + a/lam -
+    log(lam), so huge exponents never overflow; b = 0 cells (t = -inf) take
+    the analytic limit e^{-a/lam}.
     """
     with np.errstate(divide="ignore"):
         t = np.log(B) + A / lam - np.log(lam)

@@ -1,11 +1,11 @@
 """Reference oracles the tests certify the kernels against.
 
-Brute-force minimizers, a majorizer check, a scalar beta-divergence, the
-convex-concave-constant split of Fevotte & Idier (Neural Computation 23(9),
-2011) and the surrogate values the kernels minimize.  The package never
-evaluates any of these: the search oracles share no code with the solver
-kernels on purpose, so every closed-form update can be cross-checked against
-a dumb, obviously-correct search.
+Brute-force minimizers, a bisection Lambert W, a majorizer check, a scalar
+beta-divergence, the convex-concave-constant split of Fevotte & Idier
+(Neural Computation 23(9), 2011) and the surrogate values the kernels
+minimize.  The package never evaluates any of these: the search oracles
+share no code with the solver kernels on purpose, so every closed-form
+update can be cross-checked against a dumb, obviously-correct search.
 """
 
 from __future__ import annotations
@@ -51,6 +51,32 @@ def brute_force_scalar_min(
         if b <= a:
             break
     return float(best)
+
+
+def bisect_lambert_exp(t) -> np.ndarray:
+    """W(e^t) for finite ``t`` by plain bisection, entrywise.
+
+    For ``t <= 1`` it brackets the root of ``w e^w = e^t`` by
+    ``[e^(t-1), e^t]``; above, the root of ``w + log w = t`` by
+    ``[t - log t, t]``, so no ``exp`` overflows.  Each bracket is halved
+    until its ends are adjacent floats.
+    """
+
+    def bisect(below, lo, hi):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            left = below(mid)
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        return hi
+
+    t = np.asarray(t, dtype=float)
+    direct = t <= 1.0
+    out = np.empty(t.shape)
+    x = np.exp(t[direct])
+    out[direct] = bisect(lambda w: w * np.exp(w) < x, x / math.e, x)
+    big = t[~direct]
+    out[~direct] = bisect(lambda w: w + np.log(w) < big, big - np.log(big), big)
+    return out
 
 
 def simplex_descent_min(

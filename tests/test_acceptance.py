@@ -37,9 +37,10 @@ from deepbnmf.updates import (
     update_w_terminal,
     InnerWContext,
 )
-from deepbnmf.scalars import lambert_w0, lambert_w0_from_log
+from deepbnmf.scalars import lambert_w0_exp
 from oracles import (
     beta_fit_majorizer_value,
+    bisect_lambert_exp,
     brute_force_scalar_min,
     check_majorizer,
     logdet_majorizer,
@@ -145,16 +146,21 @@ def test_criterion_02_scalar_update_oracle_equivalence():
 
 def test_criterion_03_lambert_contract():
     xs = np.concatenate([[0.0], np.logspace(-8, 8, 161)])
-    w = lambert_w0(xs)
+    with np.errstate(divide="ignore"):
+        w = lambert_w0_exp(np.log(xs))
     residual = np.abs(w * np.exp(w) - xs) / np.maximum(1.0, xs)
     assert residual.max() <= 1e-12
     log_x = np.linspace(0.0, np.log(1e300), 150)
-    direct = lambert_w0(np.exp(log_x))
-    logged = lambert_w0_from_log(log_x)
-    agreement = np.abs(direct - logged) / np.maximum(1.0, np.abs(direct))
-    assert agreement.max() <= 1e-10
-    print(f"\n[criterion 3] PASS Lambert W contract "
-          f"(identity {residual.max():.2e}, log-domain {agreement.max():.2e})")
+    oracle = bisect_lambert_exp(log_x)
+    agreement = np.abs(lambert_w0_exp(log_x) - oracle) / np.maximum(1.0, np.abs(oracle))
+    assert agreement.max() <= 1e-12
+    # Relative to the root, from far below 1 to far beyond exp overflow.
+    t = np.concatenate([np.linspace(-700.0, 700.0, 2801), np.logspace(np.log10(700.0), 300, 200)])
+    oracle = bisect_lambert_exp(t)
+    relative = np.abs(lambert_w0_exp(t) - oracle) / oracle
+    assert relative.max() <= 1e-14
+    print(f"\n[criterion 3] PASS Lambert W contract (identity {residual.max():.2e}, "
+          f"oracle agreement {agreement.max():.2e}, relative {relative.max():.2e})")
 
 
 def test_criterion_04_fixed_points_on_exact_chains():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,58 +9,57 @@ import deepbnmf.minvol
 import deepbnmf.scalars
 from conftest import assert_started_left_and_rose, recorded_solves
 from deepbnmf.errors import ConfigError, DomainError, NoRootError
-from deepbnmf.scalars import lambert_w0, lambert_w0_exp, lambert_w0_from_log
+from deepbnmf.scalars import lambert_w0_exp
 from deepbnmf.updates import solve_multipliers
+from oracles import bisect_lambert_exp
 
 
-def bisect_lambert(x, tol=1e-14):
-    # Independent oracle: plain bisection on w*exp(w) = x.
-    lo, hi = 0.0, 1.0
-    while hi * np.exp(hi) < x:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * np.exp(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+def log_of(x):
+    """log(x) with log(0) = -inf and no warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
 
 
 class TestLambertW:
     def test_trivial_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(np.e) == pytest.approx(1.0, abs=1e-14)
+        assert lambert_w0_exp(-np.inf) == 0.0
+        assert lambert_w0_exp(1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_argument_matches_bisection(self):
-        # Frozen from the bisection oracle below.
-        assert lambert_w0(1.0) == pytest.approx(0.5671432904097838, abs=1e-12)
-        assert lambert_w0(1.0) == pytest.approx(bisect_lambert(1.0), abs=1e-12)
+        # Frozen from the bisection oracle.
+        assert lambert_w0_exp(0.0) == pytest.approx(0.5671432904097838, abs=1e-12)
+        assert lambert_w0_exp(0.0) == pytest.approx(bisect_lambert_exp(0.0), abs=1e-12)
 
     def test_identity_on_decade_grid(self):
         xs = np.array([0.0] + [10.0 ** k for k in range(-8, 9)])
-        w = lambert_w0(xs)
+        w = lambert_w0_exp(log_of(xs))
         residual = np.abs(w * np.exp(w) - xs) / np.maximum(1.0, xs)
         assert residual.max() <= 1e-12
 
     def test_monotone_on_grid(self):
-        xs = np.logspace(-6, 6, 200)
-        w = lambert_w0(xs)
+        w = lambert_w0_exp(np.log(np.logspace(-6, 6, 200)))
         assert np.all(np.diff(w) > 0)
 
     def test_log_domain_agreement(self):
-        # Overlap x in [1, 1e300], sampled logarithmically.
-        log_x = np.linspace(0.0, np.log(1e300), 120)
-        direct = lambert_w0(np.exp(log_x))
-        logged = lambert_w0_from_log(log_x)
-        rel = np.abs(direct - logged) / np.maximum(1.0, np.abs(direct))
-        assert rel.max() <= 1e-10
+        # x in [1, 1e300], sampled logarithmically, against the oracle.
+        t = np.linspace(0.0, np.log(1e300), 120)
+        w = lambert_w0_exp(t)
+        oracle = bisect_lambert_exp(t)
+        rel = np.abs(w - oracle) / np.maximum(1.0, np.abs(oracle))
+        assert rel.max() <= 1e-12
 
     def test_log_domain_beyond_overflow(self):
-        w = lambert_w0_from_log(5000.0)
+        w = lambert_w0_exp(5000.0)
         assert w + np.log(w) == pytest.approx(5000.0, abs=1e-9)
+
+    def test_huge_arguments_stay_finite(self):
+        # Up to the largest float, without an overflow warning on the way.
+        for t in (1e200, 1e300, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = lambert_w0_exp(t)
+            assert np.isfinite(w)
+            assert abs(w - (t - np.log(t))) <= 1e-15 * w
 
     def test_exp_entry_point_routes_overflow(self):
         t = np.array([-np.inf, 0.0, 650.0, 1200.0])
@@ -66,36 +67,34 @@ class TestLambertW:
         assert w[0] == 0.0
         finite = w[1:]
         assert np.all(np.isfinite(finite))
-        assert finite[0] == pytest.approx(lambert_w0(1.0), abs=1e-12)
+        assert finite[0] == pytest.approx(0.5671432904097838, abs=1e-12)
+        assert np.abs(finite + np.log(finite) - t[1:]).max() <= 1e-12 * 1200.0
 
     def test_log_domain_infinity(self):
-        assert lambert_w0_from_log(np.inf) == np.inf
-        w = lambert_w0_from_log(np.array([np.inf, 5000.0]))
+        assert lambert_w0_exp(np.inf) == np.inf
+        w = lambert_w0_exp(np.array([np.inf, 5000.0]))
         assert w[0] == np.inf
-        assert w[1] == lambert_w0_from_log(5000.0)
+        assert w[1] == lambert_w0_exp(5000.0)
 
     def test_exp_entry_point_infinity(self):
-        w = lambert_w0_exp(np.array([np.inf, 1.0]))
+        w = lambert_w0_exp(np.array([np.inf, 1.0, -np.inf, -800.0]))
         assert w[0] == np.inf
         assert w[1] == lambert_w0_exp(1.0)
+        assert w[2] == w[3] == 0.0
         assert lambert_w0_exp(np.inf) == np.inf
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
-            lambert_w0_from_log(np.array([np.nan, 1.0]))
+            lambert_w0_exp(np.array([np.nan, 1.0]))
         with pytest.raises(DomainError):
             lambert_w0_exp(np.array([np.inf, np.nan]))
-
-    def test_negative_input_rejected(self):
         with pytest.raises(DomainError):
-            lambert_w0(-1e-9)
-        with pytest.raises(DomainError):
-            lambert_w0(np.array([1.0, -2.0]))
+            lambert_w0_exp(np.nan)
 
     @given(st.floats(min_value=0.0, max_value=1e8, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_identity_property(self, x):
-        w = lambert_w0(x)
+        w = lambert_w0_exp(log_of(x))
         assert abs(w * np.exp(w) - x) <= 1e-12 * max(1.0, x)
 
 
@@ -117,26 +116,27 @@ class _CountingNumpy:
         return counted
 
 
-class TestHalleyIterations:
-    # One np.exp (direct loop) or one np.log (log-domain loop) per Halley
-    # iteration.  These grids hold entries that settle into a one-ulp
-    # two-cycle; they must still stop well before the 50-iteration cap.
-    def test_direct_loop_stops_at_ulp_steps(self, monkeypatch):
-        proxy = _CountingNumpy(["exp"])
+class TestFixedWork:
+    def test_same_numpy_calls_for_any_input(self, monkeypatch):
+        # Two steps for every entry: no loop runs longer for harder inputs.
+        proxy = _CountingNumpy(["exp", "log", "log1p"])
         monkeypatch.setattr(deepbnmf.scalars, "np", proxy)
-        lambert_w0(np.logspace(0, 8, 2001))
-        assert proxy.calls["exp"] <= 8
-
-    def test_log_domain_loop_stops_at_ulp_steps(self, monkeypatch):
-        proxy = _CountingNumpy(["log"])
-        monkeypatch.setattr(deepbnmf.scalars, "np", proxy)
-        lambert_w0_from_log(np.linspace(1.0, 700.0, 2001))
-        assert proxy.calls["log"] <= 9
+        lambert_w0_exp(0.5)
+        scalar = dict(proxy.calls)
+        proxy.calls = dict.fromkeys(scalar, 0)
+        lambert_w0_exp(np.concatenate([np.linspace(-50.0, 50.0, 1000), np.logspace(2, 6, 1001)]))
+        assert proxy.calls == scalar
 
 
 def _concat_chunks(fn, values, cuts):
     parts = np.split(values, sorted(set(cuts)))
     return np.concatenate([np.asarray(fn(p)) for p in parts])
+
+
+def _assert_independent_of_chunking(values, cuts):
+    whole = lambert_w0_exp(values)
+    assert whole.tobytes() == _concat_chunks(lambert_w0_exp, values, cuts).tobytes()
+    assert whole.tobytes() == np.array([lambert_w0_exp(v) for v in values]).tobytes()
 
 
 class TestLambertProperties:
@@ -146,26 +146,20 @@ class TestLambertProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_direct_independent_of_chunking(self, xs, cuts):
-        values = np.array(xs)
-        whole = lambert_w0(values)
-        assert whole.tobytes() == _concat_chunks(lambert_w0, values, cuts).tobytes()
-        assert whole.tobytes() == np.array([lambert_w0(v) for v in xs]).tobytes()
+        _assert_independent_of_chunking(log_of(np.array(xs)), cuts)
 
     @given(
-        st.lists(st.floats(min_value=-800.0, max_value=1e12), min_size=1, max_size=60),
+        st.lists(st.floats(min_value=-800.0, max_value=1e300), min_size=1, max_size=60),
         st.lists(st.integers(min_value=0, max_value=60), max_size=5),
     )
     @settings(max_examples=100, deadline=None)
     def test_log_domain_independent_of_chunking(self, lxs, cuts):
-        values = np.array(lxs)
-        whole = lambert_w0_from_log(values)
-        assert whole.tobytes() == _concat_chunks(lambert_w0_from_log, values, cuts).tobytes()
-        assert whole.tobytes() == np.array([lambert_w0_from_log(v) for v in lxs]).tobytes()
+        _assert_independent_of_chunking(np.array(lxs), cuts)
 
     @given(st.floats(min_value=1.0, max_value=1e12))
     @settings(max_examples=200, deadline=None)
     def test_log_domain_identity(self, lx):
-        w = lambert_w0_from_log(lx)
+        w = lambert_w0_exp(lx)
         assert abs(w + np.log(w) - lx) <= 1e-12 * max(1.0, lx)
 
 

@@ -316,6 +316,17 @@ class TestSweepDriver:
         with pytest.raises(DimensionError):
             driver_solve(model, np.ones((5, 5)), warm=warm)
 
+    # One layer fewer than the warm state, and the same count at other ranks.
+    @pytest.mark.parametrize("ranks", [(4,), (5, 2)])
+    def test_warm_ranks_must_match_config(self, model, ranks):
+        X = driver_data()
+        warm, _ = driver_solve(model, X)
+        solve, _, alphas = SOLVERS[model]
+        layers = [LayerSpec(r, alpha=a) for r, a in zip(ranks, alphas)]
+        cfg = SolverConfig(beta=1.0, layers=layers, max_sweeps=2)
+        with pytest.raises(DimensionError, match=r"warm ranks \[4, 2\] differ"):
+            solve(X, cfg, warm=warm)
+
     @pytest.mark.parametrize("bad", ["nan", "negative"])
     def test_warm_start_checks_x(self, model, bad):
         X = driver_data()
