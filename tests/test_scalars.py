@@ -128,6 +128,30 @@ class TestFixedWork:
         assert proxy.calls == scalar
 
 
+class TestHalleyIterations:
+    # The two fixed steps must leave the result where a further Newton step
+    # is at most two ulp, with one np.exp and one np.log per step at most.
+    # These grids held entries that settled into a one-ulp two-cycle under
+    # the former converge-until-small loops.
+    def test_direct_loop_stops_at_ulp_steps(self, monkeypatch):
+        x = np.logspace(0, 8, 2001)
+        proxy = _CountingNumpy(["exp"])
+        monkeypatch.setattr(deepbnmf.scalars, "np", proxy)
+        w = lambert_w0_exp(np.log(x))
+        assert proxy.calls["exp"] <= 8
+        step = (w * np.exp(w) - x) / (np.exp(w) * (1.0 + w))
+        assert np.all(np.abs(step) <= 2.0 * np.spacing(w))
+
+    def test_log_domain_loop_stops_at_ulp_steps(self, monkeypatch):
+        t = np.linspace(1.0, 700.0, 2001)
+        proxy = _CountingNumpy(["log"])
+        monkeypatch.setattr(deepbnmf.scalars, "np", proxy)
+        w = lambert_w0_exp(t)
+        assert proxy.calls["log"] <= 9
+        step = (t - w - np.log(w)) * w / (1.0 + w)
+        assert np.all(np.abs(step) <= 2.0 * np.spacing(w))
+
+
 def _concat_chunks(fn, values, cuts):
     parts = np.split(values, sorted(set(cuts)))
     return np.concatenate([np.asarray(fn(p)) for p in parts])
