@@ -44,28 +44,38 @@ def mu_exponent(beta: float) -> float:
     return 1.0 / (2.0 - beta) if beta < 1.0 else 1.0
 
 
-def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:
+def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta, out=None, positive=None) -> float:
     """Sum of entrywise beta-divergences between equal-shaped matrices.
 
     A negative entry in ``A`` or ``B`` raises ``ConfigError``.  Cells where
     the divergence diverges (``B == 0 < A`` for beta <= 1, ``A == 0 < B`` for
     beta == 0) count as ``INFINITE_DIVERGENCE``; ``A == B`` cells count as 0.
+
+    ``out``, a float array of A's shape, is the solvers' path: the caller
+    guarantees finite ``A >= 0`` and ``B > 0``, the input checks are skipped,
+    and the one-pass forms (beta 1 and 1/2) write their cells into ``out``.
+    ``positive`` is then the mask ``A > 0`` for beta = 1, or None if A has
+    no zero entry.
     """
     b = check_beta(beta)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
-    if not A.size:
-        return 0.0
-    a_min, b_min = A.min(), B.min()
-    # Minima not both >= 0 mean a negative or a NaN entry; a NaN minimum hides
-    # the sign of the other cells, so only then are all cells looked at.
-    if not (a_min >= 0 and b_min >= 0) and (np.any(A < 0) or np.any(B < 0)):
-        raise ConfigError("beta divergence arguments must be nonnegative")
-    if a_min >= 0 and b_min > 0 and b in _ONE_PASS:
+    if out is None:
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(B, dtype=float)
+        if A.shape != B.shape:
+            raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
+        if not A.size:
+            return 0.0
+        a_min, b_min = A.min(), B.min()
+        # Minima not both >= 0 mean a negative or a NaN entry; a NaN minimum hides
+        # the sign of the other cells, so only then are all cells looked at.
+        if not (a_min >= 0 and b_min >= 0) and (np.any(A < 0) or np.any(B < 0)):
+            raise ConfigError("beta divergence arguments must be nonnegative")
+        if not (a_min >= 0 and b_min > 0):
+            return float(np.sum(_beta_div_cells(A, B, b)))
+        positive = A > 0 if b == 1.0 else None
+    if b in (1.0, 0.5):
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = _ONE_PASS[b](A, B)
+            t = _kl_one_pass(A, B, out, positive) if b == 1.0 else _half_one_pass(A, B, out)
         # Summed from a name, outside the block: summing the temporary inline
         # measured 2.5 MB more peak RSS on 1000x500 inputs (allocator layout).
         total = float(np.sum(t))
@@ -77,24 +87,29 @@ def beta_div_matrix(A: np.ndarray, B: np.ndarray, beta) -> float:
     return float(np.sum(_beta_div_cells(A, B, b)))
 
 
-def _kl_one_pass(A, B):
+def _kl_one_pass(A, B, out, positive):
     """The beta = 1 cells of _beta_div_cells, by the same IEEE operations in
     the same order, in one buffer: (A log(A/B) - A) + B, where A == 0 keeps
-    0/B = 0 and A == B gives log(1) = 0, so both cells come out as before."""
-    t = A / B
-    np.log(t, out=t, where=A > 0)
+    0/B = 0 and A == B gives log(1) = 0, so both cells come out as before.
+    The log is taken where ``positive`` (A > 0) holds, everywhere if None."""
+    t = np.divide(A, B, out=out)
+    if positive is None:
+        np.log(t, out=t)
+    else:
+        np.log(t, out=t, where=positive)
     t *= A
     t -= A
     t += B
     return t
 
 
-def _half_one_pass(A, B):
-    """The beta = 1/2 cells of _beta_div_cells in two reused buffers:
-    (-4 sqrt(A) + 2 sqrt(B)) + 2 A/sqrt(B).  Scaling by 2, 1/2 and -4 is
-    exact, so every cell is the masked form's, A == B cells zeroed last."""
+def _half_one_pass(A, B, out):
+    """The beta = 1/2 cells of _beta_div_cells in two buffers, one of them
+    ``out`` if given: (-4 sqrt(A) + 2 sqrt(B)) + 2 A/sqrt(B).  Scaling by 2,
+    1/2 and -4 is exact, so every cell is the masked form's, A == B cells
+    zeroed last."""
     s = np.sqrt(B)
-    t = np.sqrt(A)
+    t = np.sqrt(A, out=out)
     t *= -4.0
     s *= 2.0
     t += s
@@ -104,10 +119,6 @@ def _half_one_pass(A, B):
     t += s
     np.copyto(t, 0.0, where=A == B)
     return t
-
-
-# One-pass forms for A >= 0 and B > 0; other cells and betas take the masked form.
-_ONE_PASS = {1.0: _kl_one_pass, 0.5: _half_one_pass}
 
 
 def _beta_div_cells(A, B, b: float) -> np.ndarray:

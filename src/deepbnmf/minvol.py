@@ -25,12 +25,13 @@ from .model import (
     DeepState,
     MACHINE_EPS,
     SolverConfig,
+    eval_objective,
     logdet_gram,
 )
 from .scalars import lambert_w0_exp
 from .solvers import run_sweeps
 # Not called here; perfbench/tracer.py wraps these names on this module.
-from .model import auto_balance_weights, eval_objective  # noqa: F401
+from .model import auto_balance_weights  # noqa: F401
 from .solvers import multilayer_factorize  # noqa: F401
 from .updates import InnerWContext, epsilon_floor, solve_multipliers, update_h_plain
 
@@ -260,6 +261,9 @@ class MinvolBlocks:
             state.W[i] = W_new
         else:
             self.rejected_steps += 1
+
+    def objective(self, state: DeepState, config: SolverConfig):
+        return eval_objective(state, config, self.model)
 
     def slack(self, previous_total: float, lams) -> float:
         return 10.0 * self.config.admm_tol * (sum(self.alphas) + sum(lams))

@@ -287,6 +287,8 @@ def eval_objective(
     state: DeepState,
     config: SolverConfig,
     model: Literal["plain", "minvol"] = "plain",
+    products: Optional[List[np.ndarray]] = None,
+    positive: Optional[np.ndarray] = None,
 ):
     """Total objective and per-layer terms for either deep NMF model.
 
@@ -297,13 +299,28 @@ def eval_objective(
     since a collapsing value flags W layers drifting toward rank deficiency
     (a known failure mode when deep layers are over-weighted).  Unchecked
     preconditions: consistent shapes; ``model`` "plain", or "minvol" at beta 1.
+
+    ``products``, if given, are float arrays of the layers' product shapes:
+    each product is computed into its array, and the divergence takes the
+    solvers' path of ``beta_div_matrix``, with ``positive`` as layer 1's
+    mask ``X > 0`` (None if X has no zero; deeper targets are floored W).
+    The values are the same.
     """
     lams = config.lambdas()
     alphas = config.alphas()
     per_layer = []
     total = 0.0
     for i in range(state.num_layers):
-        div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], config.beta)
+        if products is None:
+            div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], config.beta)
+        else:
+            V = np.matmul(state.W[i], state.H[i], out=products[i])
+            # A fresh work array: held beside each product, a second one
+            # raised the peak memory of the deep sweeps (README).
+            div = beta_div_matrix(
+                state.prev_w(i), V, config.beta, out=np.empty_like(V),
+                positive=positive if i == 0 else None,
+            )
         ld = logdet_gram(state.W[i], config.delta)
         weighted_ld = alphas[i] * ld if model == "minvol" else 0.0
         per_layer.append(

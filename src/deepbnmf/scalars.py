@@ -41,6 +41,7 @@ def lambert_w0_exp(t):
         d = np.maximum(arr - 1.0, 0.0)  # t - log(x)
         lt = np.log(np.minimum(np.maximum(arr, 1.0), _FLOAT_MAX))
         guess = np.where(arr <= 1.0, np.log1p(x), arr - lt + lt / arr)
+        del lt  # one array fewer in the steps, the peak of a deep sweep's memory
         w = guess
         for _ in range(2):
             # z = t - w - log(w); through x / w it is exact to rounding for

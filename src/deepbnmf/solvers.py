@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,19 @@ DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
 MULTILAYER_BETAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
+def _check_beta_zero_data(X, beta):
+    """At beta = 0 a zero entry of X makes the Itakura-Saito divergence, and
+    so every objective, +inf, where no rise could be seen: refuse such data."""
+    if beta == 0.0:
+        X = check_data(X)
+        zeros = X.size - np.count_nonzero(X)
+        if zeros:
+            raise DomainError(
+                f"beta = 0 needs strictly positive data: X has {zeros} zero entries, "
+                "where the Itakura-Saito divergence is infinite"
+            )
+
+
 def multilayer_factorize(
     X: np.ndarray, config: SolverConfig
 ) -> Tuple[DeepState, ConvergenceTrace]:
@@ -66,6 +79,7 @@ def multilayer_factorize(
     """
     if config.beta not in MULTILAYER_BETAS:
         raise ConfigError(f"multilayer supports beta in {MULTILAYER_BETAS}")
+    _check_beta_zero_data(X, config.beta)
     state = init_random(X, config.layers, config.seed, ROW_SIMPLEX_H)
     lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
     trace = ConvergenceTrace(state.num_layers, lambdas=list(lams))
@@ -109,7 +123,12 @@ class DeepBlocks:
     """Block updates of plain deep beta-NMF: rows of H on the simplex.
 
     Intermediate W blocks have entrywise closed forms; the last W block takes
-    one classical multiplicative step.
+    one classical multiplicative step.  One object serves one run and holds
+    one buffer per layer, made at the first update: ``V[l] = W_l H_l``, which
+    each objective evaluation refreshes in place.  In the next sweep it is
+    the ``W_bar`` of layer l-1's W step and then layer l's H step's
+    ``W H~``, bit for bit the product those steps used to form; that H step
+    writes its quotient over it, and layer l's W step its own product.
     """
 
     constraint = ROW_SIMPLEX_H
@@ -117,22 +136,32 @@ class DeepBlocks:
 
     def __init__(self, config: SolverConfig):
         self.config = config
+        self.V: List[np.ndarray] = []
+        self.positive: Optional[np.ndarray] = None  # X > 0, if X has a zero
 
     def update_layer(self, state: DeepState, i: int, lams):
-        beta, eps = self.config.beta, self.config.eps_floor
+        beta, eps, V = self.config.beta, self.config.eps_floor, self.V
+        if not V:
+            V.extend(w @ h for w, h in zip(state.W, state.H))
+            self.positive = None if state.X.all() else state.X > 0
         target = state.prev_w(i)
-        state.H[i] = update_h_simplex(state.W[i], target, state.H[i], beta, eps=eps)
+        state.H[i] = update_h_simplex(state.W[i], target, state.H[i], beta, eps=eps, V=V[i])
         if i < state.num_layers - 1:
             ctx = InnerWContext(
                 Y=target,
                 W_tilde=state.W[i],
                 H=state.H[i],
-                W_bar=state.W[i + 1] @ state.H[i + 1],
+                W_bar=V[i + 1],
                 lambda_ratio=lams[i + 1] / lams[i],
             )
-            state.W[i] = update_w_inner(ctx, beta, eps=eps)
+            state.W[i] = update_w_inner(ctx, beta, eps=eps, scratch=V[i])
         else:
-            state.W[i] = update_w_terminal(target, state.W[i], state.H[i], beta, eps=eps)
+            state.W[i] = update_w_terminal(
+                target, state.W[i], state.H[i], beta, eps=eps, scratch=V[i]
+            )
+
+    def objective(self, state: DeepState, config: SolverConfig):
+        return eval_objective(state, config, self.model, self.V, self.positive)
 
     def slack(self, previous_total: float, lams) -> float:
         return MONOTONICITY_REL_SLACK * max(1.0, abs(previous_total))
@@ -151,7 +180,7 @@ def run_sweeps(
     Factors are floored and put in the convention of ``blocks.constraint``;
     lambda weights left as ``None`` are auto-balanced at that state.  Each
     sweep calls ``blocks.update_layer(state, i, lams)`` for every layer, then
-    evaluates the ``blocks.model`` objective, which may not rise by more than
+    ``blocks.objective(state, config)``, which may not rise by more than
     ``blocks.slack(previous_total, lams)`` (else ``MonotonicityError``).
     The trace's log-det columns are the objective's per-layer log-dets.  A
     positive ``config.rel_obj_tol`` stops the run early.
@@ -200,7 +229,7 @@ def run_sweeps(
         for i in range(state.num_layers):
             if not (np.isfinite(state.W[i]).all() and np.isfinite(state.H[i]).all()):
                 raise DomainError(f"non-finite factor after sweep {sweep}, in layer {i + 1}")
-        total, per_layer = eval_objective(state, config, blocks.model)
+        total, per_layer = blocks.objective(state, config)
         slack = blocks.slack(previous_total, lams)
         if total > previous_total + slack:
             raise MonotonicityError(
@@ -244,4 +273,5 @@ def deep_factorize(
             f"deep factorization supports beta in {DEEP_BETAS}; "
             "beta = 2 is supported for the multilayer baseline only"
         )
+    _check_beta_zero_data(X, config.beta)
     return run_sweeps(X, config, warm, DeepBlocks(config))

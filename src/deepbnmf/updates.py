@@ -78,7 +78,7 @@ def solve_multipliers(f_df, start, tol):
     raise NoRootError(f"multiplier solve stalled; worst residual {np.max(np.abs(f))}")
 
 
-def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
+def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
     """Majorizer minimizer of H |-> D_beta(Y, W H) over rows of H on the simplex.
 
     For beta = 1 the per-row stationarity has a row-constant denominator and
@@ -89,11 +89,16 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
     Rows whose update numerator vanishes identically (all-zero data) are
     returned unchanged with a warning.  Unchecked preconditions: ``W`` (m, r)
     and ``H_tilde`` (r, n) positive, ``Y`` (m, n) nonnegative, a supported beta.
+
+    ``V``, if given, is the product ``W @ H_tilde`` in a float array that
+    the beta = 1 quotient ``Y / V`` then overwrites; the result is the same,
+    bit for bit.
     """
-    V = W @ H_tilde
+    if V is None:
+        V = W @ H_tilde
 
     if beta == 1.0:
-        numer = H_tilde * (W.T @ (Y / V))
+        numer = H_tilde * (W.T @ np.divide(Y, V, out=V))
         sums = numer.sum(axis=1)
         dead = sums <= 0
         H = numer / np.where(dead, 1.0, sums)[:, None]
@@ -253,16 +258,17 @@ class InnerWContext:
     lambda_ratio: float
 
 
-def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS):
+def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS, scratch=None):
     """Entrywise minimizer of fit-majorizer + lam * D_beta(w, w_bar) over w >= 0;
-    unchecked preconditions: ``ctx`` as documented, beta in {0, 1/2, 1, 3/2}."""
+    unchecked preconditions: ``ctx`` as documented, beta in {0, 1/2, 1, 3/2}.
+    A float ``scratch`` array of Y's shape, if given, is overwritten with the
+    product ``W_tilde @ H`` and the beta = 1 quotient; the result is the same."""
     Y, Wt, H, Wb = ctx.Y, ctx.W_tilde, ctx.H, ctx.W_bar
     lam = float(ctx.lambda_ratio)
-    V = Wt @ H
+    V = np.matmul(Wt, H, out=scratch)
     if beta == 1.0:
-        B = Wt * ((Y / V) @ H.T)
-        A = H.sum(axis=1)[None, :] - lam * np.log(Wb)
-        W = kl_inner_cells(B, A, lam)
+        B = Wt * (np.divide(Y, V, out=V) @ H.T)
+        W = kl_inner_cells(B, H.sum(axis=1)[None, :] - lam * np.log(Wb), lam)
     elif beta == 1.5:
         sqv = np.sqrt(V)
         A = Wt ** -0.5 * (sqv @ H.T) + 2.0 * lam
@@ -285,14 +291,19 @@ def kl_inner_cells(B, A, lam):
 
     The Lambert kernel takes the log of its argument, t = log(b) + a/lam -
     log(lam), so huge exponents never overflow; b = 0 cells (t = -inf) take
-    the analytic limit e^{-a/lam}.
+    the analytic limit e^{-a/lam}.  ``A`` is let go before the Lambert step,
+    whose temporaries are the peak of a deep sweep's memory.
     """
+    zero = ~(B > 0)
+    limit = np.exp(-A[zero] / lam)
     with np.errstate(divide="ignore"):
         t = np.log(B) + A / lam - np.log(lam)
+    del A
     w = lambert_w0_exp(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = B / (lam * w)
-    return np.where(B > 0, out, np.exp(-A / lam))
+    out[zero] = limit
+    return out
 
 
 def three_half_inner_cells(A, B, C):
@@ -337,11 +348,21 @@ def half_inner_cells(abar, cbar, lam):
     return x * x
 
 
-def update_w_terminal(Y, W_tilde, H, beta, eps: float = MACHINE_EPS):
+def update_w_terminal(Y, W_tilde, H, beta, eps: float = MACHINE_EPS, scratch=None):
     """One classical multiplicative update of W for D_beta(Y, W H); unchecked
-    preconditions as for ``update_h_simplex``, with ``W_tilde`` in place of W."""
-    V = W_tilde @ H
-    numer = (Y * V ** (beta - 2.0)) @ H.T
-    denom = V ** (beta - 1.0) @ H.T
+    preconditions as for ``update_h_simplex``, with ``W_tilde`` in place of W.
+    A float ``scratch`` array of Y's shape, if given, is overwritten with the
+    product ``W_tilde @ H`` and the beta = 1 quotients; the result is the same."""
+    V = np.matmul(W_tilde, H, out=scratch)
+    if beta == 1.0:
+        # V ** -1.0 and V ** 0.0 in place, by the operations numpy's power takes.
+        np.reciprocal(V, out=V)
+        V *= Y
+        numer = V @ H.T
+        V.fill(1.0)
+        denom = V @ H.T
+    else:
+        numer = (Y * V ** (beta - 2.0)) @ H.T
+        denom = V ** (beta - 1.0) @ H.T
     W = W_tilde * (numer / denom) ** mu_exponent(beta)
     return epsilon_floor(W, eps)

@@ -1,0 +1,160 @@
+"""The deep sweeps share one product buffer per layer, bit for bit.
+
+``DeepBlocks`` keeps ``V_l = W_l H_l`` from one objective evaluation to the
+next sweep, where it is the H step's ``W H~`` and the ``W_bar`` of the layer
+below, and the kernels write their beta = 1 quotients into it.  These tests
+pin that every kernel and the divergence return the same bits with and
+without the shared arrays, that the driver never hands a kernel a stale
+product, and that no returned factor aliases another or a buffer.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import deepbnmf.solvers
+from conftest import sparse_chain_data
+from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
+from deepbnmf.model import LayerSpec, SolverConfig
+from deepbnmf.solvers import DEEP_BETAS, deep_factorize, multilayer_factorize
+from deepbnmf.updates import InnerWContext, update_h_simplex, update_w_inner, update_w_terminal
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def instance(seed, m=12, r=4, n=9, zeros=True):
+    """Positive factors and a target whose zero entries exercise the masks."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.05, 1.0, (m, r))
+    H = rng.uniform(0.05, 1.0, (r, n))
+    H /= H.sum(axis=1, keepdims=True)
+    Y = rng.uniform(0.05, 2.0, (m, n))
+    if zeros:
+        Y[rng.random((m, n)) < 0.3] = 0.0
+        Y[:, 2] = 0.0
+    return W, H, Y
+
+
+def garbage(shape):
+    """A scratch array whose old contents must not leak into a result."""
+    return np.full(shape, np.nan)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("beta", SUPPORTED_BETAS)
+def test_h_step_bit_for_bit_with_shared_product(beta, seed):
+    W, H, Y = instance(seed)
+    assert np.array_equal(update_h_simplex(W, Y, H, beta, V=W @ H), update_h_simplex(W, Y, H, beta))
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("beta", DEEP_BETAS)
+def test_inner_w_step_bit_for_bit_with_scratch(beta, seed):
+    W, H, Y = instance(seed)
+    rng = np.random.default_rng(seed + 10)
+    W_bar = rng.uniform(0.05, 1.0, W.shape)
+    ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W_bar, lambda_ratio=0.7)
+    plain = update_w_inner(ctx, beta)
+    scratch = garbage(Y.shape)
+    assert np.array_equal(update_w_inner(ctx, beta, scratch=scratch), plain)
+    assert np.array_equal(update_w_inner(ctx, beta, scratch=scratch), plain)  # reused
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("beta", SUPPORTED_BETAS)
+def test_terminal_w_step_bit_for_bit_with_scratch(beta, seed):
+    W, H, Y = instance(seed)
+    plain = update_w_terminal(Y, W, H, beta)
+    scratch = garbage(Y.shape)
+    assert np.array_equal(update_w_terminal(Y, W, H, beta, scratch=scratch), plain)
+    assert np.array_equal(update_w_terminal(Y, W, H, beta, scratch=scratch), plain)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("zeros", (True, False))
+@pytest.mark.parametrize("beta", SUPPORTED_BETAS)
+def test_divergence_bit_for_bit_on_the_solver_path(beta, zeros):
+    # The solver path skips the input scans and, for beta = 1, takes the
+    # mask A > 0 from the caller (None where A has no zero).
+    _, _, A = instance(3, m=30, n=20, zeros=zeros)
+    rng = np.random.default_rng(4)
+    cases = [
+        rng.uniform(0.05, 2.0, A.shape),
+        rng.uniform(1e-300, 1e-290, A.shape),  # A / B overflows to inf
+        np.where(A > 0, A, 0.5),  # A == B cells
+    ]
+    positive = A > 0 if zeros else None
+    for B in cases:
+        expected = beta_div_matrix(A, B, beta)
+        got = beta_div_matrix(A, B, beta, out=garbage(A.shape), positive=positive)
+        assert same_bits(got, expected)
+
+
+CHAIN_RANKS = (8, 5, 3)
+
+
+def chain_config(beta, **overrides):
+    settings = {"max_sweeps": 6, "warm_start_sweeps": 4, "seed": 2, **overrides}
+    return SolverConfig(beta=beta, layers=[LayerSpec(r) for r in CHAIN_RANKS], **settings)
+
+
+def spy_on_kernels(monkeypatch):
+    """Check each shared product the deep sweeps hand a kernel against a fresh
+    product of the same factors; return every buffer handed out."""
+    buffers = []
+    expected_bar = {}
+    real_layer = deepbnmf.solvers.DeepBlocks.update_layer
+    real_h = deepbnmf.solvers.update_h_simplex
+    real_inner = deepbnmf.solvers.update_w_inner
+
+    def update_layer(self, state, i, lams):
+        if i + 1 < state.num_layers:
+            expected_bar["W_bar"] = state.W[i + 1] @ state.H[i + 1]
+        return real_layer(self, state, i, lams)
+
+    def h_step(W, Y, H_tilde, beta, eps, V):
+        assert V is not None and np.array_equal(V, W @ H_tilde)
+        buffers.append(V)
+        return real_h(W, Y, H_tilde, beta, eps=eps, V=V)
+
+    def inner_step(ctx, beta, eps, scratch):
+        assert np.array_equal(ctx.W_bar, expected_bar.pop("W_bar"))
+        buffers.extend((ctx.W_bar, scratch))
+        return real_inner(ctx, beta, eps=eps, scratch=scratch)
+
+    monkeypatch.setattr(deepbnmf.solvers.DeepBlocks, "update_layer", update_layer)
+    monkeypatch.setattr(deepbnmf.solvers, "update_h_simplex", h_step)
+    monkeypatch.setattr(deepbnmf.solvers, "update_w_inner", inner_step)
+    return buffers
+
+
+def assert_no_aliasing(state, buffers):
+    factors = state.W + state.H
+    for a, b in itertools.combinations(factors, 2):
+        assert not np.shares_memory(a, b)
+    for factor, buffer in itertools.product(factors, buffers):
+        assert not np.shares_memory(factor, buffer)
+
+
+@pytest.mark.parametrize("beta", DEEP_BETAS)
+def test_deep_sweeps_share_fresh_products(beta, monkeypatch):
+    # The warm start's multilayer sweeps run the same strategy, one layer at a time.
+    buffers = spy_on_kernels(monkeypatch)
+    X = sparse_chain_data(10090, m=40, n=30, ranks=CHAIN_RANKS)
+    if beta == 0.0:
+        X = X + 0.01 * X.mean()
+    state, trace = deep_factorize(X, chain_config(beta))
+    assert len(trace) == 6
+    assert len(buffers) == (4 + 6) * 3 + 2 * 6 * 2  # H steps, then inner W steps
+    assert_no_aliasing(state, buffers)
+
+
+def test_multilayer_factors_alias_nothing(monkeypatch):
+    buffers = spy_on_kernels(monkeypatch)
+    X = sparse_chain_data(7063, m=40, n=30, ranks=CHAIN_RANKS)
+    state, _ = multilayer_factorize(X, chain_config(1.0))
+    assert len(buffers) == 6 * 3
+    assert_no_aliasing(state, buffers)
