@@ -265,14 +265,18 @@ def auto_balance_weights(state: DeepState, beta) -> List[float]:
 
 
 def logdet_gram(W: np.ndarray, delta: float) -> float:
-    """log det(W^T W + delta I) via symmetric eigenvalues.
+    """log det(W^T W + delta I) from an LU factorization (``np.linalg.slogdet``).
 
-    delta > 0 (not checked) keeps the Gram matrix positive definite; going
-    through eigenvalues avoids overflowing a raw determinant.
+    delta > 0 (not checked) makes the Gram matrix positive definite, so its
+    determinant is positive; slogdet never overflows a raw determinant.  A
+    sign other than +1 means rounding has lost the definiteness (W's columns
+    are nearly dependent at a scale where delta no longer counts), and gives
+    NaN rather than a finite log|det|.
     """
-    gram = W.T @ W + delta * np.eye(W.shape[1])
-    eigvals = np.linalg.eigvalsh(gram)
-    return float(np.sum(np.log(eigvals)))
+    gram = W.T @ W
+    gram.reshape(-1)[:: gram.shape[0] + 1] += delta  # a view: matmul's result is contiguous
+    sign, logabsdet = np.linalg.slogdet(gram)
+    return float(logabsdet) if sign == 1.0 else np.nan
 
 
 @dataclass(frozen=True)

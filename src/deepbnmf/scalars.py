@@ -27,35 +27,62 @@ def lambert_w0_exp(t):
     """Principal-branch Lambert W of ``e^t`` for real ``t``: the root ``w``
     of ``w + log(w) = t``, without forming ``e^t``.
 
-    Accepts scalars or arrays; the result has the shape of the input.
-    Every finite ``t`` gives a finite result within 1e-14 relative of the
-    exact root; ``t = -inf`` gives 0, ``t = +inf`` gives ``+inf`` and NaN
-    raises ``DomainError``.  Each entry gets the same two steps, so a result
-    never depends on the rest of the array.
+    Accepts scalars or arrays; the result has the shape of the input, which
+    is never written to.  Every finite ``t`` gives a finite result within
+    1e-14 relative of the exact root; ``t = -inf`` gives 0, ``t = +inf``
+    gives ``+inf`` and NaN raises ``DomainError``.  Each entry gets the same
+    two steps, so a result never depends on the rest of the array.
+
+    The steps run in place, in seven arrays of the input's shape: each
+    operation is that of the expression in the comment above it, in its
+    order up to the exact commutativity of + and *, so the bits are those
+    of the plain expressions.
     """
     arr = np.asarray(t, dtype=float)
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)  # out= needs an array
     if np.isnan(arr).any():
         raise DomainError("lambert_w0_exp requires non-NaN input")
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.exp(np.minimum(arr, 1.0))
-        d = np.maximum(arr - 1.0, 0.0)  # t - log(x)
-        lt = np.log(np.minimum(np.maximum(arr, 1.0), _FLOAT_MAX))
-        guess = np.where(arr <= 1.0, np.log1p(x), arr - lt + lt / arr)
-        del lt  # one array fewer in the steps, the peak of a deep sweep's memory
-        w = guess
+        # x = exp(min(t, 1)) and d = max(t - 1, 0), which is t - log(x).
+        x = np.minimum(arr, 1.0)
+        np.exp(x, out=x)
+        d = arr - 1.0
+        np.maximum(d, 0.0, out=d)
+        # guess = where(t <= 1, log1p(x), t - lt + lt / t),
+        # lt = log(min(max(t, 1), largest float)).
+        z = np.maximum(arr, 1.0)
+        lt = np.log(np.minimum(z, _FLOAT_MAX, out=z), out=z)
+        h = lt / arr
+        guess = arr - lt
+        guess += h
+        np.copyto(guess, np.log1p(x, out=h), where=arr <= 1.0)
+        w = guess.copy()
+        p = np.empty_like(w)
         for _ in range(2):
-            # z = t - w - log(w); through x / w it is exact to rounding for
-            # t <= 1, where t and log(w) nearly cancel.
-            z = d + np.log(x / w) - w
+            # z = d + log(x / w) - w; through x / w it is exact to rounding
+            # for t <= 1, where t and log(w) nearly cancel.
+            np.log(np.divide(x, w, out=z), out=z)
+            z += d
+            z -= w
             # FSC step w *= 1 + 2c (p - c) / (p - 2c), c = z / (2 (1 + w)),
-            # here with h = 2c; no (1 + w)^2 is formed, so nothing overflows.
-            w1 = 1.0 + w
-            h = z / w1
-            p = w1 + z * (2.0 / 3.0)
-            w = w + w * h * (p - 0.5 * h) / (p - h)
+            # as w + w * h * (p - 0.5 * h) / (p - h) with w1 = 1 + w,
+            # h = z / w1 and p = w1 + z * (2/3); no (1 + w)^2 is formed, so
+            # nothing overflows.
+            w1 = np.add(w, 1.0, out=p)
+            np.divide(z, w1, out=h)
+            z *= 2.0 / 3.0
+            p += z  # p = w1 + z * (2/3)
+            np.subtract(p, np.multiply(h, 0.5, out=z), out=z)  # p - 0.5 * h
+            p -= h  # p - h
+            h *= w
+            h *= z
+            h /= p
+            w += h
         # The steps are undefined only where the guess is already exact:
         # where e^t underflows to 0 (W(e^t) rounds to 0 too) and at t = +inf.
-        w = np.where(np.isfinite(w), w, guess)
-    if np.ndim(t) == 0:
-        return float(w)
+        np.copyto(w, guess, where=~np.isfinite(w))
+    if scalar:
+        return float(w[0])
     return w

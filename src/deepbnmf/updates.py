@@ -104,6 +104,10 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
         H = numer / np.where(dead, 1.0, sums)[:, None]
     else:
         H, dead = _h_simplex_general(W, Y, H_tilde, V, beta)
+    # Kill the last-ulp feasibility drift before flooring; dead rows are
+    # overwritten below, so their 0/0 here does not matter.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        H /= H.sum(axis=1, keepdims=True)
     if dead.any():
         warnings.warn(
             f"rows {np.flatnonzero(dead).tolist()} have an identically zero "
@@ -112,10 +116,7 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
             stacklevel=2,
         )
         H[dead] = H_tilde[dead]
-    alive = ~dead
-    # Kill the last-ulp feasibility drift before flooring.
-    H[alive] /= H[alive].sum(axis=1, keepdims=True)
-    return epsilon_floor(H, eps)
+    return np.maximum(H, eps, out=H)
 
 
 def _h_simplex_general(W, Y, H_tilde, V, b):
@@ -291,17 +292,23 @@ def kl_inner_cells(B, A, lam):
 
     The Lambert kernel takes the log of its argument, t = log(b) + a/lam -
     log(lam), so huge exponents never overflow; b = 0 cells (t = -inf) take
-    the analytic limit e^{-a/lam}.  ``A`` is let go before the Lambert step,
-    whose temporaries are the peak of a deep sweep's memory.
+    the analytic limit e^{-a/lam}.  ``t`` and the result are formed in
+    place, by the operations of those expressions, and neither input is
+    written to.  ``A`` is let go before the Lambert step, whose work arrays
+    are the peak of a deep sweep's memory.
     """
     zero = ~(B > 0)
     limit = np.exp(-A[zero] / lam)
     with np.errstate(divide="ignore"):
-        t = np.log(B) + A / lam - np.log(lam)
+        t = np.log(B)
+    t += A / lam
+    t -= np.log(lam)
     del A
     w = lambert_w0_exp(t)
+    del t
+    w *= lam
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = B / (lam * w)
+        out = np.divide(B, w, out=w)
     out[zero] = limit
     return out
 

@@ -1,7 +1,8 @@
 """Reference oracles the tests certify the kernels against.
 
-Brute-force minimizers, a bisection Lambert W, a majorizer check, a scalar
-beta-divergence, the convex-concave-constant split of Fevotte & Idier
+Brute-force minimizers, a bisection Lambert W, the out-of-place form of the
+Lambert kernel, an eigenvalue log-det, the ``ones @ H.T`` form of the KL
+terminal step, a majorizer check, a scalar beta-divergence, the convex-concave-constant split of Fevotte & Idier
 (Neural Computation 23(9), 2011) and the surrogate values the kernels
 minimize.  The package never evaluates any of these: the search oracles
 share no code with the solver kernels on purpose, so every closed-form
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from deepbnmf.divergence import INFINITE_DIVERGENCE, _beta_div_cells, check_beta
-from deepbnmf.errors import ConfigError, DimensionError
+from deepbnmf.errors import ConfigError, DimensionError, DomainError
 from deepbnmf.minvol import LogDetContext
 from deepbnmf.model import logdet_gram
 
@@ -77,6 +78,44 @@ def bisect_lambert_exp(t) -> np.ndarray:
     big = t[~direct]
     out[~direct] = bisect(lambda w: w + np.log(w) < big, big - np.log(big), big)
     return out
+
+
+def lambert_w0_exp_out_of_place(t):
+    """``deepbnmf.scalars.lambert_w0_exp`` as plain expressions, one fresh
+    array per operation: the form the in-place kernel must match bit for bit.
+    """
+    arr = np.asarray(t, dtype=float)
+    if np.isnan(arr).any():
+        raise DomainError("lambert_w0_exp requires non-NaN input")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.exp(np.minimum(arr, 1.0))
+        d = np.maximum(arr - 1.0, 0.0)
+        lt = np.log(np.minimum(np.maximum(arr, 1.0), np.finfo(float).max))
+        guess = np.where(arr <= 1.0, np.log1p(x), arr - lt + lt / arr)
+        w = guess
+        for _ in range(2):
+            z = d + np.log(x / w) - w
+            w1 = 1.0 + w
+            h = z / w1
+            p = w1 + z * (2.0 / 3.0)
+            w = w + w * h * (p - 0.5 * h) / (p - h)
+        w = np.where(np.isfinite(w), w, guess)
+    if np.ndim(t) == 0:
+        return float(w)
+    return w
+
+
+def logdet_gram_eig(W: np.ndarray, delta: float) -> float:
+    """log det(W^T W + delta I) as the sum of the logs of its eigenvalues."""
+    gram = W.T @ W + delta * np.eye(W.shape[1])
+    return float(np.sum(np.log(np.linalg.eigvalsh(gram))))
+
+
+def kl_terminal_w_ones(Y, W_tilde, H, eps) -> np.ndarray:
+    """The beta = 1 multiplicative W step with its denominator as ``ones @ H.T``."""
+    V = W_tilde @ H
+    W = W_tilde * (((Y / V) @ H.T) / (np.ones_like(Y) @ H.T))
+    return np.maximum(W, eps)
 
 
 def simplex_descent_min(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_two_layer_chain
+from oracles import logdet_gram_eig
 from deepbnmf.divergence import beta_div_matrix
 from deepbnmf.errors import ConfigError, DegenerateInputError, DimensionError
 from deepbnmf.model import (
@@ -169,6 +170,57 @@ class TestLogdetGram:
         W = rng.uniform(0.0, 1.0, (8, 3))
         expected = np.linalg.slogdet(W.T @ W + 0.1 * np.eye(3))[1]
         assert logdet_gram(W, 0.1) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e8])
+    @pytest.mark.parametrize("shape", [(20, 3), (50, 5), (200, 20)])
+    def test_agrees_with_eigenvalues(self, scale, shape):
+        # Well conditioned: Gaussian columns, so LU and eigenvalues agree.
+        # delta != 1 keeps the log-det away from 0 at the small scales.
+        W = scale * np.random.default_rng(shape[1]).normal(size=shape)
+        for delta in (0.1, 0.5):
+            expected = logdet_gram_eig(W, delta)
+            assert abs(logdet_gram(W, delta) - expected) <= 1e-12 * abs(expected)
+
+    def test_leaves_w_unchanged(self):
+        W = np.random.default_rng(4).uniform(size=(30, 4))
+        before = W.copy()
+        logdet_gram(W, 0.1)
+        assert np.array_equal(W, before)
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_nan_unless_the_sign_is_positive(self, monkeypatch, sign):
+        # A sign of -1 or 0 means rounding lost the definiteness: the
+        # log|det| that comes with it is no log-det at all.
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (sign, 3.0))
+        assert np.isnan(logdet_gram(np.eye(4, 2), 0.1))
+
+    def test_positive_sign_gives_the_log_abs_det(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (1.0, 3.0))
+        assert logdet_gram(np.eye(4, 2), 0.1) == 3.0
+
+    def test_nan_exactly_where_the_sign_is_not_positive(self):
+        # Nearly collinear columns at a scale where delta = 0.1 is lost in the
+        # Gram matrix's rounding.  Whether a draw's sign comes out -1, 0 or
+        # +1 is up to the host's LAPACK; the rule must hold on each.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            W = rng.uniform(size=(200, 3))
+            W[:, 1] = W[:, 0] * (1.0 + 1e-9 * rng.normal(size=200))
+            W *= 1e10
+            gram = W.T @ W + 0.1 * np.eye(3)
+            sign = np.linalg.slogdet(gram)[0]
+            value = logdet_gram(W, 0.1)
+            assert np.isnan(value) if sign != 1.0 else np.isfinite(value)
+
+    def test_exactly_collinear_columns_give_nan(self):
+        W = np.random.default_rng(5).uniform(size=(200, 3)) * 1e10
+        W[:, 2] = W[:, 0]
+        assert np.isnan(logdet_gram(W, 0.1))
+        X, Wc, H = exact_two_layer_chain(3)
+        Wc[0][:, 1] = Wc[0][:, 0] * 1e10
+        Wc[0][:, 0] = Wc[0][:, 1]
+        _, per_layer = eval_objective(DeepState(X=X, W=Wc, H=H), two_layer_config(), "plain")
+        assert np.isnan(per_layer[0].logdet)
 
 
 class TestValidateState:

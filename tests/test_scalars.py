@@ -11,7 +11,7 @@ from conftest import assert_started_left_and_rose, recorded_solves
 from deepbnmf.errors import ConfigError, DomainError, NoRootError
 from deepbnmf.scalars import lambert_w0_exp
 from deepbnmf.updates import solve_multipliers
-from oracles import bisect_lambert_exp
+from oracles import bisect_lambert_exp, lambert_w0_exp_out_of_place
 
 
 def log_of(x):
@@ -114,6 +114,51 @@ class _CountingNumpy:
             return attr(*args, **kwargs)
 
         return counted
+
+
+# The grids of this file and of acceptance criterion 3, with the infinities,
+# the underflow of e^t and t up to the largest float.
+_FLOAT_MAX = np.finfo(float).max
+IN_PLACE_GRIDS = [
+    log_of(np.array([0.0] + [10.0 ** k for k in range(-8, 9)])),
+    np.log(np.logspace(-6, 6, 200)),
+    np.linspace(0.0, np.log(1e300), 120),
+    np.log(np.logspace(0, 8, 2001)),
+    np.linspace(1.0, 700.0, 2001),
+    np.concatenate([np.linspace(-50.0, 50.0, 1000), np.logspace(2, 6, 1001)]),
+    np.concatenate([np.linspace(-700.0, 700.0, 2801), np.logspace(np.log10(700.0), 300, 200)]),
+    np.array([-np.inf, np.inf, -_FLOAT_MAX, -800.0, -745.2, -745.1, -0.0, 0.0, 1.0,
+              650.0, 1200.0, 5000.0, 1e200, 1e300, 1.7e308, _FLOAT_MAX]),
+]
+
+
+class TestInPlaceKernel:
+    # The kernel runs in place with the operations of the plain expressions,
+    # in their order, so it keeps their bits.
+    @pytest.mark.parametrize("grid", IN_PLACE_GRIDS, ids=range(len(IN_PLACE_GRIDS)))
+    def test_bits_of_the_out_of_place_form(self, grid):
+        assert np.array_equal(lambert_w0_exp(grid), lambert_w0_exp_out_of_place(grid))
+
+    def test_two_dimensional_input(self):
+        t = np.random.default_rng(3).normal(0.0, 30.0, (40, 7))
+        for arr in (t, t.T, np.asfortranarray(t), t[::2, 1:5]):
+            w = lambert_w0_exp(arr)
+            assert w.shape == arr.shape
+            assert np.array_equal(w, lambert_w0_exp_out_of_place(arr))
+
+    @pytest.mark.parametrize("t", [0.5, -np.inf, np.inf, -800.0, 1.7e308])
+    def test_zero_dimensional_input(self, t):
+        expected = lambert_w0_exp_out_of_place(t)
+        for arg in (t, np.float64(t), np.array(t)):
+            w = lambert_w0_exp(arg)
+            assert type(w) is float
+            assert w == expected
+
+    def test_input_left_unchanged(self):
+        for t in IN_PLACE_GRIDS + [np.array(0.5), np.array(-np.inf)]:
+            before = t.copy()
+            lambert_w0_exp(t)
+            assert np.array_equal(t, before)
 
 
 class TestFixedWork:

@@ -23,6 +23,7 @@ from deepbnmf.updates import (
 from oracles import (
     beta_fit_majorizer_value,
     brute_force_scalar_min,
+    kl_terminal_w_ones,
     simplex_descent_min,
     w_fit_majorizer_value,
 )
@@ -384,6 +385,25 @@ class TestWTerminal:
         surrogate = lambda Wm: w_fit_majorizer_value(Y, Wm, W, H, beta)
         cell = (1, 2)  # on the last draw
         assert W_new[cell] == pytest.approx(brute_force_cell(surrogate, W_new, cell), abs=1e-6)
+
+
+class TestTerminalRowSums:
+    # At beta = 1 the denominator ones @ H.T is H's row sums on every row.
+    # The step forms it in its shared buffer; any other form of the row sums
+    # (the broadcast H.sum(axis=1), say) must stay within a few ulp of it.
+    @given(
+        st.integers(1, 40), st.integers(2, 60), st.integers(1, 12),
+        st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1.0, 1e8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_ones_matmul(self, m, n, r, seed, scale):
+        rng = np.random.default_rng(seed)
+        Y = scale * rng.uniform(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.7)
+        W = np.sqrt(scale) * rng.uniform(0.01, 1.0, (m, r))
+        H = np.sqrt(scale) * rng.uniform(0.01, 1.0, (r, n))
+        got = update_w_terminal(Y, W, H, 1.0, eps=1e-300)
+        expected = kl_terminal_w_ones(Y, W, H, 1e-300)
+        assert np.all(np.abs(got - expected) <= 1e-14 * expected)
 
 
 class TestHPlain:
