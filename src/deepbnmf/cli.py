@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .dataio import read_matrix, write_matrix, write_mosaic_pgm, write_trace
+from .divergence import SUPPORTED_BETAS, check_beta
 from .errors import DeepBnmfError
 from .metrics import compare_runs, composite_features, hoyer_sparsity, ssc_row_zero_check
 from .model import ConvergenceTrace, DeepState, LayerSpec, SolverConfig
@@ -19,7 +20,6 @@ from .minvol import minvol_factorize
 from .solvers import deep_factorize, multilayer_factorize
 
 METHODS = ("multilayer", "deep", "minvol")
-BETA_CHOICES = ("0", "0.5", "1", "1.5", "2")
 
 
 class UsageError(Exception):
@@ -47,7 +47,7 @@ def _build_parser():
     fac.add_argument("--input", required=True, help="path to the data matrix")
     fac.add_argument("--input-format", choices=("csv", "binary"), default="csv")
     fac.add_argument("--method", choices=METHODS, required=True)
-    fac.add_argument("--beta", choices=BETA_CHOICES, default="1")
+    fac.add_argument("--beta", type=float, choices=SUPPORTED_BETAS, default=1.0)
     fac.add_argument("--ranks", required=True, help="comma-separated layer ranks")
     fac.add_argument("--lambda", dest="lam", default="auto",
                      help="'auto' or comma-separated per-layer weights")
@@ -128,13 +128,11 @@ def _read_manifest(path):
 
 
 def _cmd_factorize(args):
-    if args.method == "deep" and args.beta == "2":
-        raise UsageError("beta = 2 is supported for multilayer only")
-    if args.method == "minvol" and args.beta != "1":
+    if args.method == "minvol" and args.beta != 1.0:
         raise UsageError("the minvol method requires beta = 1")
     layers = _resolve_layers(args)
     kwargs = dict(
-        beta=float(args.beta),
+        beta=args.beta,
         layers=layers,
         delta=args.delta,
         rho=args.rho,
@@ -167,7 +165,7 @@ def _cmd_factorize(args):
         "input": args.input,
         "input_format": args.input_format,
         "method": args.method,
-        "beta": float(args.beta),
+        "beta": args.beta,
         "ranks": ",".join(str(s.rank) for s in layers),
         "lambda": ",".join(f"{v:.17g}" for v in resolved_lams),
         "alpha": ",".join(f"{s.alpha:.17g}" for s in layers),
@@ -208,8 +206,8 @@ def _load_run(run_dir):
 def _cmd_compare(args):
     state_a, manifest_a = _load_run(args.deep)
     state_b, manifest_b = _load_run(args.baseline)
-    beta = float(manifest_a.get("beta", "1"))
-    if manifest_b.get("beta") is not None and float(manifest_b["beta"]) != beta:
+    beta = check_beta(manifest_a.get("beta", "1"))
+    if manifest_b.get("beta") is not None and check_beta(manifest_b["beta"]) != beta:
         print("warning: runs used different beta values; using the deep run's",
               file=sys.stderr)
     report = compare_runs(

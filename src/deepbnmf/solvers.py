@@ -16,7 +16,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, MonotonicityError
+from .divergence import check_beta
+from .errors import DimensionError, DomainError, MonotonicityError
 from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
@@ -47,9 +48,6 @@ from .divergence import beta_div_matrix  # noqa: F401
 #: and multilayer solvers; anything beyond this is a bug and raises.
 MONOTONICITY_REL_SLACK = 1e-10
 
-DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
-MULTILAYER_BETAS = (0.0, 0.5, 1.0, 1.5, 2.0)
-
 
 def _check_beta_zero_data(X, beta):
     """At beta = 0 a zero entry of X makes the Itakura-Saito divergence, and
@@ -77,8 +75,6 @@ def multilayer_factorize(
     unresolved lambdas.  The trace has one record per sweep of every layer;
     layers not fitted yet have NaN errors.
     """
-    if config.beta not in MULTILAYER_BETAS:
-        raise ConfigError(f"multilayer supports beta in {MULTILAYER_BETAS}")
     _check_beta_zero_data(X, config.beta)
     state = init_random(X, config.layers, config.seed, ROW_SIMPLEX_H)
     lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
@@ -188,8 +184,10 @@ def run_sweeps(
     The block kernels check nothing; here the data and a warm state are
     checked (its chain must fit ``X`` and its ranks equal ``config.ranks``),
     the floor makes the factors positive, and a factor that is not finite,
-    in ``warm`` or after a sweep, raises ``DomainError``.
+    in ``warm`` or after a sweep, raises ``DomainError``.  Beta is checked
+    here too, once for all three solvers.
     """
+    check_beta(config.beta)
     eps = config.eps_floor
     column_w = blocks.constraint == COLUMN_SIMPLEX_W
     if warm is not None:
@@ -260,6 +258,8 @@ def deep_factorize(
 ) -> Tuple[DeepState, ConvergenceTrace]:
     """Block-majorization sweeps over all layers of the layer-centric objective.
 
+    Takes every supported beta; at beta = 2 (least squares) the intermediate
+    W step is the Lee-Seung majorizer's minimizer with the proximal term.
     Without an explicit warm start, runs ``config.warm_start_sweeps`` of
     multilayer NMF first.  Unresolved lambda weights are auto-balanced at the
     warm-started state so every weighted term starts at one.  The weighted
@@ -268,10 +268,5 @@ def deep_factorize(
 
     Returns the final state and the trace of the deep sweeps only.
     """
-    if config.beta not in DEEP_BETAS:
-        raise ConfigError(
-            f"deep factorization supports beta in {DEEP_BETAS}; "
-            "beta = 2 is supported for the multilayer baseline only"
-        )
     _check_beta_zero_data(X, config.beta)
     return run_sweeps(X, config, warm, DeepBlocks(config))

@@ -9,8 +9,8 @@ Each kernel minimizes the standard separable majorizer of its block objective
   started at a bound left of its root (``solve_multipliers``).
 * ``update_w_inner``    -- W-block of an intermediate layer, where the layer
   above contributes a proximity term ``lam * D_beta(W, W_bar)``; entrywise
-  closed forms exist for beta in {0, 1/2, 1, 3/2} (Lambert W, quadratic in
-  1/w or sqrt(w), depressed cubic).
+  closed forms exist for every supported beta (Lambert W, quadratic in 1/w
+  or sqrt(w), depressed cubic, and at beta = 2 a linear equation).
 * ``update_w_terminal`` -- W-block of the last layer: one classical
   multiplicative update step.
 
@@ -261,7 +261,7 @@ class InnerWContext:
 
 def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS, scratch=None):
     """Entrywise minimizer of fit-majorizer + lam * D_beta(w, w_bar) over w >= 0;
-    unchecked preconditions: ``ctx`` as documented, beta in {0, 1/2, 1, 3/2}.
+    unchecked preconditions: ``ctx`` as documented, a supported beta.
     A float ``scratch`` array of Y's shape, if given, is overwritten with the
     product ``W_tilde @ H`` and the beta = 1 quotient; the result is the same."""
     Y, Wt, H, Wb = ctx.Y, ctx.W_tilde, ctx.H, ctx.W_bar
@@ -280,6 +280,9 @@ def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS, scratch=N
         A = Wt ** 2 * ((Y / V ** 2) @ H.T)
         C = (1.0 / V) @ H.T + lam / Wb
         W = is_inner_cells(A, C, lam)
+    elif beta == 2.0:
+        # The Lee-Seung majorizer's curvature is (V H^T) / W_tilde.
+        W = (Y @ H.T + lam * Wb) / ((V @ H.T) / Wt + lam)
     else:  # beta == 0.5
         cbar = (V ** -0.5) @ H.T + 2.0 * lam * Wb ** -0.5
         abar = Wt ** 1.5 * ((Y / V ** 1.5) @ H.T)

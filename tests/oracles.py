@@ -2,7 +2,8 @@
 
 Brute-force minimizers, a bisection Lambert W, the out-of-place form of the
 Lambert kernel, an eigenvalue log-det, the ``ones @ H.T`` form of the KL
-terminal step, a majorizer check, a scalar beta-divergence, the convex-concave-constant split of Fevotte & Idier
+terminal step, a majorizer check, a scalar and a masked entrywise
+beta-divergence, the convex-concave-constant split of Fevotte & Idier
 (Neural Computation 23(9), 2011) and the surrogate values the kernels
 minimize.  The package never evaluates any of these: the search oracles
 share no code with the solver kernels on purpose, so every closed-form
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from deepbnmf.divergence import INFINITE_DIVERGENCE, _beta_div_cells, check_beta
+from deepbnmf.divergence import INFINITE_DIVERGENCE, check_beta
 from deepbnmf.errors import ConfigError, DimensionError, DomainError
 from deepbnmf.minvol import LogDetContext
 from deepbnmf.model import logdet_gram
@@ -220,12 +221,11 @@ def beta_div_scalar(x: float, y: float, beta) -> float:
             return INFINITE_DIVERGENCE
         if x == 0.0:
             return float(y)
-        return float(x * math.log(x / y) - x + y)
+        return float(x * _log_ratio(x, y) - x + y)
     if b == 0.0:
         if x == 0.0 or y == 0.0:
             return INFINITE_DIVERGENCE
-        r = x / y
-        return float(r - math.log(r) - 1.0)
+        return float(x / y - _log_ratio(x, y) - 1.0)
     if b == 2.0:
         return float(0.5 * (x - y) ** 2)
     if b == 0.5:
@@ -234,6 +234,44 @@ def beta_div_scalar(x: float, y: float, beta) -> float:
         return float(-4.0 * math.sqrt(x) + 2.0 * math.sqrt(y) + 2.0 * x / math.sqrt(y))
     # beta == 1.5
     return float((4.0 / 3.0) * (x ** 1.5 + 0.5 * y ** 1.5 - 1.5 * x * math.sqrt(y)))
+
+
+def _log_ratio(x: float, y: float) -> float:
+    """log(x / y) for x, y > 0, as log x - log y where the quotient underflows to 0."""
+    r = x / y
+    return math.log(r) if r > 0 else math.log(x) - math.log(y)
+
+
+def beta_div_cells(A, B, b: float) -> np.ndarray:
+    """Entrywise d_beta(A, B) by masks, saturating: +inf where the divergence
+    diverges (B == 0 < A for beta <= 1, A == 0 < B for beta == 0) or a cell
+    comes out NaN, and exactly 0 where A == B.  The reference that
+    ``beta_div_matrix``'s sums are compared with bit for bit; unlike it,
+    this form takes log(0) where ``A / B`` underflows."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if b == 1.0:
+            # Divide only where A > 0: 1/B could overflow on cells the mask drops.
+            pos = A > 0
+            ones = np.ones_like(A, shape=np.broadcast(A, B).shape)  # keeps A's layout
+            ratio = np.divide(A, B, out=ones, where=pos)
+            log_term = np.where(pos, A * np.log(ratio), 0.0)
+            total = log_term - A + B
+        elif b == 0.0:
+            r = A / B
+            total = np.where(A == B, 0.0, r - np.log(r) - 1.0)
+        elif b == 2.0:
+            total = 0.5 * (A - B) ** 2
+        elif b == 0.5:
+            ratio = np.where(B > 0, A / np.sqrt(np.where(B > 0, B, 1.0)), np.where(A > 0, np.inf, 0.0))
+            total = -4.0 * np.sqrt(A) + 2.0 * np.sqrt(B) + 2.0 * ratio
+        else:  # beta == 1.5
+            total = (4.0 / 3.0) * (A ** 1.5 + 0.5 * B ** 1.5 - 1.5 * A * np.sqrt(B))
+    total = np.where(np.isnan(total), INFINITE_DIVERGENCE, total)
+    # The divergence is exactly zero on the diagonal; rounding in the power
+    # forms must not leak through.
+    return np.where(A == B, 0.0, total)
 
 
 @dataclass(frozen=True)
@@ -259,7 +297,7 @@ def decomposition_terms(beta) -> DecompositionTerms:
         # The divergence is already convex in u: no concave or constant part.
         return DecompositionTerms(
             beta=b,
-            check_d=lambda v, u: _beta_div_cells(v, u, b),
+            check_d=lambda v, u: beta_div_cells(v, u, b),
             hat_d=lambda v, u: np.zeros(np.broadcast(v, u).shape),
             bar_d=lambda v: np.zeros(np.shape(v)),
             hat_d_prime=lambda v, u: np.zeros(np.broadcast(v, u).shape),

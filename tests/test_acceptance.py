@@ -18,7 +18,7 @@ from conftest import (
     sparse_chain_data,
 )
 from deepbnmf.cli import run_command
-from deepbnmf.divergence import beta_div_matrix
+from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
 from deepbnmf.metrics import hoyer_sparsity
 from deepbnmf.minvol import (
     build_logdet_context,
@@ -46,16 +46,15 @@ from oracles import (
     logdet_majorizer,
 )
 
-DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
 SEEDS = range(5)
 
 
 @pytest.fixture(scope="module")
 def deep_runs():
-    """Criterion 1/5 workload: 4 betas x 5 seeds of 200 deep sweeps."""
+    """Criterion 1/5 workload: 5 betas x 5 seeds of 200 deep sweeps."""
     started = time.time()
     traces = {}
-    for beta in DEEP_BETAS:
+    for beta in SUPPORTED_BETAS:
         for seed in SEEDS:
             X = np.random.default_rng(9000 + seed).uniform(0.0, 1.0, (30, 20))
             cfg = SolverConfig(
@@ -165,7 +164,7 @@ def test_criterion_03_lambert_contract():
 
 def test_criterion_04_fixed_points_on_exact_chains():
     worst = 0.0
-    for beta in DEEP_BETAS:
+    for beta in SUPPORTED_BETAS:
         X, W, H = exact_two_layer_chain(17)
         warm = DeepState(X=X, W=[w.copy() for w in W], H=[h.copy() for h in H])
         cfg = SolverConfig(

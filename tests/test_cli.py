@@ -55,11 +55,19 @@ class TestFactorize:
         assert run_command(args) == 2
         assert "beta" in capsys.readouterr().err
 
-    def test_deep_beta_two_rejected(self, tmp_path, capsys):
-        args = factorize_args(tmp_path / "x")
+    def test_deep_beta_two_runs(self, tmp_path):
+        out = tmp_path / "x"
+        args = factorize_args(out)
         args[args.index("--beta") + 1] = "2"
+        assert run_command(args) == 0
+        assert "beta = 2.0\n" in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("beta", ["0.7", "one"])
+    def test_unsupported_beta_is_usage_error(self, tmp_path, capsys, beta):
+        args = factorize_args(tmp_path / "x")
+        args[args.index("--beta") + 1] = beta
         assert run_command(args) == 2
-        assert "multilayer" in capsys.readouterr().err
+        assert "--beta" in capsys.readouterr().err
 
     def test_unknown_flag_fails(self, tmp_path):
         assert run_command(factorize_args(tmp_path / "x", ["--bogus", "1"])) == 2
@@ -182,6 +190,15 @@ class TestCompareRenderMetrics:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: beta divergence arguments must be nonnegative\n"
+
+    def test_compare_bad_manifest_beta_is_runtime_error(self, two_runs, capsys):
+        deep_out, ml_out = two_runs
+        manifest = deep_out / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("beta = 1.0\n", "beta = one\n"))
+        assert run_command(["compare", "--deep", str(deep_out), "--baseline", str(ml_out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta must be one of (0.0, 0.5, 1.0, 1.5, 2.0), got one\n"
 
     def test_render_mosaic(self, two_runs, tmp_path):
         deep_out, _ = two_runs

@@ -11,13 +11,12 @@ from hypothesis.extra.numpy import arrays
 from deepbnmf.divergence import (
     INFINITE_DIVERGENCE,
     SUPPORTED_BETAS,
-    _beta_div_cells,
     beta_div_matrix,
     check_beta,
     mu_exponent,
 )
 from deepbnmf.errors import ConfigError, DimensionError
-from oracles import beta_div_scalar, decomposition_terms
+from oracles import beta_div_cells, beta_div_scalar, decomposition_terms
 
 
 class TestScalarDivergence:
@@ -79,6 +78,12 @@ class TestMatrixDivergence:
         assert val == pytest.approx((4.0 / 3.0) * (8.0 + 0.5 - 6.0), abs=1e-13)
         assert val == pytest.approx(3.333333, abs=1e-6)
 
+    def test_scalar_input(self):
+        for beta in SUPPORTED_BETAS:
+            assert beta_div_matrix(2.0, 1.0, beta) == pytest.approx(beta_div_scalar(2.0, 1.0, beta), rel=1e-15)
+        assert beta_div_matrix(0.0, 1.0, 0.0) == math.inf
+        assert beta_div_matrix(0.0, 0.0, 1.0) == 0.0
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             beta_div_matrix(np.ones((2, 2)), np.ones((2, 3)), 1.0)
@@ -102,7 +107,23 @@ class TestMatrixDivergence:
 
 def masked_sum(A, B, beta=1.0):
     """The sum of the masked cell formula, the reference for the one-pass forms."""
-    return float(np.sum(_beta_div_cells(A, B, beta)))
+    return float(np.sum(beta_div_cells(A, B, beta)))
+
+
+def underflow_cells(A, B, beta):
+    """The KL and Itakura-Saito cells where A > 0 over a finite B > 0 gives A / B == 0."""
+    if beta not in (0.0, 1.0):
+        return np.zeros(np.shape(A), dtype=bool)
+    with np.errstate(all="ignore"):
+        return (A > 0) & (B > 0) & (B < math.inf) & (A / B == 0)
+
+
+def fixed_masked_sum(A, B, beta):
+    """masked_sum, with the underflow cells taken from the scalar oracle."""
+    cells = beta_div_cells(A, B, beta)
+    for idx in zip(*np.nonzero(underflow_cells(A, B, beta))):
+        cells[idx] = beta_div_scalar(A[idx], B[idx], beta)
+    return float(np.sum(cells))
 
 
 def same_bits(x, y):
@@ -112,40 +133,55 @@ def same_bits(x, y):
 SPECIAL_VALUES = (0.0, -0.0, -1.0, 1e-310, 1e-300, 0.5, 1.0, 2.0, 1e300, math.inf, -math.inf, math.nan)
 
 
+def special_grid_differences(beta):
+    """Every pair of special values, embedded among ordinary cells and alone
+    (where the sign of a zero shows): the pairs whose sum differs from the
+    masked form's, with the underflow cells taken from the scalar oracle."""
+    rng = np.random.default_rng(3)
+    A = rng.uniform(0.1, 2.0, (3, 4))
+    B = rng.uniform(0.1, 2.0, (3, 4))
+    A[0, 0] = B[0, 0]
+    A[2, 1] = 0.0
+    differ = []
+    for a, b in itertools.product(SPECIAL_VALUES, repeat=2):
+        A[1, 2], B[1, 2] = a, b
+        for pa, pb in ((A, B), (np.array([[a]]), np.array([[b]]))):
+            if a < 0 or b < 0:  # -1 and -inf; -0.0 and NaN are not negative
+                with pytest.raises(ConfigError, match="nonnegative"):
+                    beta_div_matrix(pa, pb, beta)
+                continue
+            if not same_bits(beta_div_matrix(pa, pb, beta), fixed_masked_sum(pa, pb, beta)):
+                differ.append((a, b, pa.size))
+    return differ
+
+
+def assert_layouts_match(beta, order):
+    """C or F inputs, strided views of them, and B in the other order."""
+    rng = np.random.default_rng(4)
+    A = rng.uniform(0.0, 3.0, (40, 30)) * (rng.random((40, 30)) < 0.5)
+    B = rng.uniform(0.01, 3.0, (40, 30))
+    other = "C" if order == "F" else "F"
+    A, B = np.asarray(A, order=order), np.asarray(B, order=order)
+    if beta == 0.0:
+        A = A + 0.5  # no zero cell, where every Itakura-Saito sum is inf
+    for a, b in ((A, B), (A[:, ::3], B[:, ::3]), (A, np.asarray(B, order=other))):
+        assert same_bits(beta_div_matrix(a, b, beta), masked_sum(a, b, beta))
+
+
 class TestKlInPlace:
-    """beta = 1 evaluates in one buffer and must match the masked form bit for bit."""
+    """beta = 1 evaluates in one buffer and must match the masked form bit for
+    bit, except at cells where A / B underflows: there the masked form takes
+    log(0), and the value must be the scalar oracle's split log."""
 
     beta = 1.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_special_value_grid(self):
-        rng = np.random.default_rng(3)
-        A = rng.uniform(0.1, 2.0, (3, 4))
-        B = rng.uniform(0.1, 2.0, (3, 4))
-        A[0, 0] = B[0, 0]
-        A[2, 1] = 0.0
-        differ = []
-        for a, b in itertools.product(SPECIAL_VALUES, repeat=2):
-            A[1, 2], B[1, 2] = a, b
-            # Embedded among ordinary cells, and alone, where the sign of a zero shows.
-            for pa, pb in ((A, B), (np.array([[a]]), np.array([[b]]))):
-                if a < 0 or b < 0:  # -1 and -inf; -0.0 and NaN are not negative
-                    with pytest.raises(ConfigError, match="nonnegative"):
-                        beta_div_matrix(pa, pb, self.beta)
-                    continue
-                if not same_bits(beta_div_matrix(pa, pb, self.beta), masked_sum(pa, pb, self.beta)):
-                    differ.append((a, b, pa.size))
-        assert differ == []
+        assert special_grid_differences(self.beta) == []
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_layouts(self, order):
-        rng = np.random.default_rng(4)
-        A = rng.uniform(0.0, 3.0, (40, 30)) * (rng.random((40, 30)) < 0.5)
-        B = rng.uniform(0.01, 3.0, (40, 30))
-        other = "C" if order == "F" else "F"
-        A, B = np.asarray(A, order=order), np.asarray(B, order=order)
-        for a, b in ((A, B), (A[:, ::3], B[:, ::3]), (A, np.asarray(B, order=other))):
-            assert same_bits(beta_div_matrix(a, b, self.beta), masked_sum(a, b, self.beta))
+        assert_layouts_match(self.beta, order)
 
     def test_inputs_left_unchanged(self):
         rng = np.random.default_rng(5)
@@ -173,8 +209,8 @@ class TestKlInPlace:
     @pytest.mark.parametrize(
         "A, B",
         [
-            ([[1e300, math.inf]], [[1e-310, math.inf]]),  # beta = 1: inf/inf falls back
-            ([[1e300]], [[1e-310]]),  # the one-pass form alone
+            ([[1e300, math.inf]], [[1e-310, math.inf]]),  # the NaN sum takes the conventions
+            ([[1e300]], [[1e-310]]),  # the cell formula alone
         ],
     )
     def test_overflow_warns_once(self, A, B):
@@ -186,12 +222,12 @@ class TestKlInPlace:
 
     def test_zero_next_to_tiny_is_quiet(self):
         # A == 0 over a tiny B is exact (the cell is B); the zero B makes the
-        # cell with A = 1 infinite and sends the call to the masked form.
+        # cell with A = 1 infinite and the sum take the conventions.
         A, B = np.array([[0.0, 1.0]]), np.array([[1e-310, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert beta_div_matrix(A, B, self.beta) == math.inf
-            cells = _beta_div_cells(A, B, self.beta)
+            cells = beta_div_cells(A, B, self.beta)
         zero_cell = 1e-310 if self.beta == 1.0 else 2.0 * math.sqrt(1e-310)
         assert cells[0, 0] == zero_cell and cells[0, 1] == math.inf
 
@@ -200,6 +236,60 @@ class TestHalfOnePass(TestKlInPlace):
     """beta = 1/2 evaluates in two reused buffers and must match the masked form bit for bit."""
 
     beta = 0.5
+
+
+@pytest.mark.parametrize("beta", (0.0, 1.5, 2.0))
+class TestPlainForms:
+    """beta = 0, 3/2 and 2 take their plain cell forms, and must match the
+    masked form bit for bit, with the same exception as beta = 1."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_special_value_grid(self, beta):
+        assert special_grid_differences(beta) == []
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_layouts(self, beta, order):
+        assert_layouts_match(beta, order)
+
+
+class TestUnderflowingQuotient:
+    """Where A > 0 over a finite B > 0 gives A / B == 0, the KL and
+    Itakura-Saito cells take log A - log B, not log(0)."""
+
+    @pytest.mark.parametrize("beta", (0.0, 1.0))
+    def test_lone_cell_is_the_scalar_oracle(self, beta):
+        expected = beta_div_scalar(5e-324, 2.0, beta)
+        assert math.isfinite(expected)
+        assert beta_div_matrix([[5e-324]], [[2.0]], beta) == expected
+
+    def test_beside_an_infinite_cell_is_quiet(self):
+        # The underflow cell (-inf before the split) and the B == 0 cell (+inf)
+        # must not make the first sum warn of -inf + inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beta_div_matrix([[1e-320, 1.0]], [[1e4, 0.0]], 1.0) == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 4), st.integers(1, 5)),
+            elements=st.one_of(
+                st.sampled_from((0.0, 5e-324, 1e-320, 1e-300, 1e300, 1.7e308)),
+                st.floats(min_value=0.0, max_value=1e308),
+            ),
+        ),
+        st.data(),
+        st.sampled_from(SUPPORTED_BETAS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_input_never_sums_to_nan_or_minus_inf(self, A, data, beta):
+        B = data.draw(arrays(float, A.shape, elements=st.floats(min_value=0.0, max_value=1e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            value = beta_div_matrix(A, B, beta)
+        assert not math.isnan(value) and value != -math.inf
 
 
 class TestNegativeEntries:

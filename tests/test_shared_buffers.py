@@ -17,7 +17,7 @@ import deepbnmf.solvers
 from conftest import sparse_chain_data
 from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
 from deepbnmf.model import LayerSpec, SolverConfig
-from deepbnmf.solvers import DEEP_BETAS, deep_factorize, multilayer_factorize
+from deepbnmf.solvers import deep_factorize, multilayer_factorize
 from deepbnmf.updates import InnerWContext, update_h_simplex, update_w_inner, update_w_terminal
 
 
@@ -51,7 +51,7 @@ def test_h_step_bit_for_bit_with_shared_product(beta, seed):
 
 
 @pytest.mark.parametrize("seed", (0, 1))
-@pytest.mark.parametrize("beta", DEEP_BETAS)
+@pytest.mark.parametrize("beta", SUPPORTED_BETAS)
 def test_inner_w_step_bit_for_bit_with_scratch(beta, seed):
     W, H, Y = instance(seed)
     rng = np.random.default_rng(seed + 10)
@@ -139,7 +139,7 @@ def assert_no_aliasing(state, buffers):
         assert not np.shares_memory(factor, buffer)
 
 
-@pytest.mark.parametrize("beta", DEEP_BETAS)
+@pytest.mark.parametrize("beta", SUPPORTED_BETAS)
 def test_deep_sweeps_share_fresh_products(beta, monkeypatch):
     # The warm start's multilayer sweeps run the same strategy, one layer at a time.
     buffers = spy_on_kernels(monkeypatch)

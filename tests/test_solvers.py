@@ -9,8 +9,8 @@ import deepbnmf.minvol
 import deepbnmf.model
 import deepbnmf.solvers
 from conftest import exact_two_layer_chain, sparse_chain_data
-from deepbnmf.divergence import beta_div_matrix
-from deepbnmf.errors import ConfigError, DimensionError, DomainError, MonotonicityError
+from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
+from deepbnmf.errors import DimensionError, DomainError, MonotonicityError
 from deepbnmf.minvol import minvol_factorize
 from deepbnmf.dataio import read_matrix
 from deepbnmf.model import (
@@ -25,7 +25,6 @@ from deepbnmf.model import (
 )
 from deepbnmf.solvers import MONOTONICITY_REL_SLACK, deep_factorize, multilayer_factorize
 
-DEEP_BETAS = (0.0, 0.5, 1.0, 1.5)
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_30x20.csv"
 
 
@@ -153,12 +152,37 @@ class TestMultilayer:
 
 
 class TestDeep:
-    def test_beta_two_rejected(self):
-        cfg = SolverConfig(beta=2.0, layers=[LayerSpec(3), LayerSpec(2)])
-        with pytest.raises(ConfigError):
-            deep_factorize(np.ones((5, 5)), cfg)
+    def test_beta_two_lowers_every_sweep(self):
+        # The least-squares baseline of the deep model: the beta = 2 inner W
+        # step must keep every sweep a strict descent, at every data scale.
+        ranks = (8, 5, 3)
+        for seed in (10090, 7063):
+            for scale in (1e-6, 1.0, 1e8):
+                X = scale * sparse_chain_data(seed, m=40, n=30, ranks=ranks)
+                cfg = SolverConfig(
+                    beta=2.0, layers=[LayerSpec(r) for r in ranks], max_sweeps=200,
+                    warm_start_sweeps=200,
+                )
+                _, trace = deep_factorize(X, cfg)
+                obj = trace.objectives()
+                assert len(obj) == 200 and np.all(np.isfinite(obj))
+                assert np.all(np.diff(obj) < -1e-4 * obj[:-1]), (seed, scale)
 
-    @pytest.mark.parametrize("beta", DEEP_BETAS)
+    @pytest.mark.parametrize("beta", (0.0, 1.0))
+    def test_underflowing_quotient_keeps_the_objective_finite(self, beta):
+        # 1e-320 over a fitted value near 1e4 underflows to 0: the KL objective
+        # must not read -inf, nor the Itakura-Saito one rise to +inf.
+        X = 1e4 * np.random.default_rng(0).uniform(0.5, 1.0, (30, 20))
+        X[3, 5] = 1e-320
+        cfg = SolverConfig(
+            beta=beta, layers=[LayerSpec(8), LayerSpec(4)], max_sweeps=50, warm_start_sweeps=20
+        )
+        _, trace = deep_factorize(X, cfg)
+        obj = trace.objectives()
+        assert np.all(np.isfinite(obj))
+        assert np.all(np.diff(obj) <= MONOTONICITY_REL_SLACK * np.abs(obj[:-1]))
+
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
     def test_exact_chain_is_global_fixed_point(self, beta):
         X, W, H = exact_two_layer_chain(6)
         warm = DeepState(X=X, W=[w.copy() for w in W], H=[h.copy() for h in H])
@@ -172,7 +196,7 @@ class TestDeep:
             assert np.max(np.abs(a - b) / b) <= 1e-8
         assert len(trace) == 10
 
-    @pytest.mark.parametrize("beta", DEEP_BETAS)
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
     def test_monotone_objective(self, beta):
         rng = np.random.default_rng(7)
         X = rng.uniform(0.05, 1.0, (15, 12))
@@ -458,8 +482,8 @@ def test_non_finite_block_output_names_sweep_and_layer(solver, monkeypatch):
 
 
 MATRIX_CELLS = (
-    [("multilayer", b) for b in (0.0, 0.5, 1.0, 1.5, 2.0)]
-    + [("deep", b) for b in DEEP_BETAS]
+    [("multilayer", b) for b in SUPPORTED_BETAS]
+    + [("deep", b) for b in SUPPORTED_BETAS]
     + [("minvol", 1.0)]
 )
 

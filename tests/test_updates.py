@@ -28,7 +28,6 @@ from oracles import (
     w_fit_majorizer_value,
 )
 
-INNER_BETAS = (0.0, 0.5, 1.0, 1.5)
 # The betas whose simplex H update solves for one multiplier per row.
 SOLVED_BETAS = (0.0, 0.5, 1.5, 2.0)
 
@@ -212,7 +211,7 @@ class TestWInner:
         Y = W @ H
         return InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W, lambda_ratio=lam)
 
-    @pytest.mark.parametrize("beta", INNER_BETAS)
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
     def test_fixed_point_on_exact_chain(self, beta):
         ctx = self.make_ctx(4)
         W_new = update_w_inner(ctx, beta)
@@ -239,7 +238,7 @@ class TestWInner:
         residual = 900.0 - (2.0 / w[0] - np.log(w[0]))
         assert abs(residual) <= 1e-9 * 900.0
 
-    @pytest.mark.parametrize("beta", INNER_BETAS)
+    @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
     def test_majorizer_descends(self, beta):
         for seed in range(50):
             rng = np.random.default_rng(200 + seed)
@@ -260,9 +259,47 @@ class TestWInner:
             )
             assert block(W_new) <= block(W) + 1e-10 * max(1.0, abs(block(W)))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-6.0, 8.0),
+        beta=st.sampled_from(SUPPORTED_BETAS),
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 5)),
+        sparse=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_minimizes_its_surrogate_cell_by_cell(self, seed, log_scale, beta, shape, sparse):
+        # At data scales 1e-6 to 1e8, moving any cell above the floor by a
+        # relative 1e-6 either way must not lower the fit majorizer plus
+        # lam * D_beta(W, W_bar): the output is the surrogate's minimizer.
+        m, r, n = shape
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        W = scale * rng.uniform(0.05, 1.0, (m, r))
+        W_bar = scale * rng.uniform(0.05, 1.0, (m, r))
+        H = rng.uniform(0.05, 1.0, (r, n))
+        H /= H.sum(axis=1, keepdims=True)
+        Y = scale * rng.uniform(0.05, 2.0, (m, n))
+        if sparse and beta > 0:  # zero data makes the IS surrogate infinite
+            Y *= rng.uniform(size=(m, n)) < 0.6
+        lam = rng.uniform(0.1, 3.0)
+        ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W_bar, lambda_ratio=lam)
+        eps = 1e-300
+        W_new = update_w_inner(ctx, beta, eps=eps)
+
+        def surrogate(Wm):
+            return w_fit_majorizer_value(Y, Wm, W, H, beta) + lam * beta_div_matrix(Wm, W_bar, beta)
+
+        best = surrogate(W_new)
+        assert np.isfinite(best)
+        for cell in zip(*np.nonzero(W_new > eps)):
+            for step in (1.0 - 1e-6, 1.0 + 1e-6):
+                moved = W_new.copy()
+                moved[cell] *= step
+                assert surrogate(moved) >= best - 1e-12 * abs(best), (cell, step)
+
     def test_output_positive(self):
         ctx = self.make_ctx(6)
-        for beta in INNER_BETAS:
+        for beta in SUPPORTED_BETAS:
             assert np.all(update_w_inner(ctx, beta) > 0)
 
 
