@@ -99,9 +99,9 @@ def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL, start=None):
     return last["w"], mu
 
 
-def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float):
-    """Iteration-invariant pieces of the W step, built once per outer sweep."""
-    P = (Y / (Wt @ H)) @ H.T
+def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float, V=None):
+    """Iteration-invariant pieces of the W step (``V``: ``Wt @ H``, if given)."""
+    P = (Y / (Wt @ H if V is None else V)) @ H.T
     curv = Wt @ (ldctx.A_plus + ldctx.A_minus)
     T = 4.0 * alpha_ratio * curv + 2.0 * rho
     S = 2.0 * T * P
@@ -109,10 +109,11 @@ def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float
     return C0, S, T
 
 
-def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: float):
+def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: float, V=None):
     """Last-layer W update: the ADMM W step without its coupling terms (rho = 0);
-    unchecked preconditions: positive factors, chain shapes, ``alpha_ratio > 0``."""
-    C, S, T = _w_step_terms(Y, W_tilde, H, ldctx, 0.0, alpha_ratio)
+    unchecked preconditions: positive factors, chain shapes, ``alpha_ratio > 0``.
+    ``V``, if given, is the product ``W_tilde @ H``."""
+    C, S, T = _w_step_terms(Y, W_tilde, H, ldctx, 0.0, alpha_ratio, V)
     return _simplex_w_minimize(W_tilde, C, S, T)[0]
 
 
@@ -152,6 +153,7 @@ def admm_solve_w(
     max_iter: int = 50,
     tol: float = 1e-6,
     eps: float = MACHINE_EPS,
+    V: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, AdmmRun]:
     """Inner ADMM for an intermediate-layer W of the min-vol model.
 
@@ -161,10 +163,11 @@ def admm_solve_w(
     returned with ``converged=False``; the outer solver tolerates inexact
     inner solves).  The returned W is floored and column-renormalized, which
     absorbs the residual split infeasibility.  Unchecked preconditions:
-    ``ctx`` as documented, and positive ``alpha_ratio`` and ``rho``.
+    ``ctx`` as documented, and positive ``alpha_ratio`` and ``rho``.  ``V``,
+    if given, is the product ``ctx.W_tilde @ ctx.H``.
     """
     nu = rho / ctx.lambda_ratio
-    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio)
+    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio, V)
     W = ctx.W_tilde.copy()
     Z = W.copy()
     U = np.zeros_like(W)
@@ -191,12 +194,15 @@ def admm_solve_w(
     return final, AdmmRun(state=state, residuals=residuals, converged=converged)
 
 
-def _w_block_value(W, Y, H, W_bar, lam, lam_next, alpha, delta) -> float:
-    """All objective terms that depend on one intermediate-layer W."""
-    value = lam * beta_div_matrix(Y, W @ H, 1.0)
+def _w_block_value(W, WH, Y, W_bar, lam, lam_next, alpha, delta):
+    """All objective terms that depend on one intermediate-layer W, given
+    ``WH = W @ H``: their sum, and the layer's divergence and log-det."""
+    fit = beta_div_matrix(Y, WH, 1.0)
+    value = lam * fit
     value += lam_next * beta_div_matrix(W, W_bar, 1.0)
-    value += alpha * logdet_gram(W, delta)
-    return value
+    logdet = logdet_gram(W, delta)
+    value += alpha * logdet
+    return value, (fit, logdet)
 
 
 class MinvolBlocks:
@@ -205,6 +211,11 @@ class MinvolBlocks:
     H takes one multiplicative step; intermediate W blocks are solved by the
     inner ADMM and the last one by the terminal step.  Counts the ADMM solves
     that stopped at the iteration cap and the steps rejected as non-descent.
+
+    One object serves one run and keeps ``V[l] = W_l H_l``: layer l's H-step
+    product and layer l-1's ``W_bar``.  After the H step it holds ``W~ H`` for
+    the W step and its rejection test; the accepted side's product, divergence
+    and log-det serve the objective, which forms only the last layer's.
     """
 
     constraint = COLUMN_SIMPLEX_W
@@ -215,24 +226,30 @@ class MinvolBlocks:
         self.alphas = config.alphas()
         self.stalled_admm = 0
         self.rejected_steps = 0
+        self.V: List[np.ndarray] = []
+        self.cached = {}  # layer -> (divergence, logdet) of its accepted side
+        self.positive: Optional[np.ndarray] = None  # X > 0, if X has a zero
 
     def update_layer(self, state: DeepState, i: int, lams):
-        config, alphas, eps = self.config, self.alphas, self.config.eps_floor
+        config, alphas, eps, V = self.config, self.alphas, self.config.eps_floor, self.V
+        if not V:
+            V.extend(w @ h for w, h in zip(state.W, state.H))
+            self.positive = None if state.X.all() else state.X > 0
         target = state.prev_w(i)
-        state.H[i] = update_h_plain(state.W[i], target, state.H[i], config.beta, eps=eps)
+        state.H[i] = update_h_plain(state.W[i], target, state.H[i], config.beta, eps=eps, V=V[i])
+        WH = np.matmul(state.W[i], state.H[i], out=V[i])
         ldctx = build_logdet_context(state.W[i], config.delta)
         alpha_ratio = alphas[i] / lams[i]
         if i == state.num_layers - 1:
-            W_new = minvol_terminal_w_step(target, state.W[i], state.H[i], ldctx, alpha_ratio)
+            W_new = minvol_terminal_w_step(target, state.W[i], state.H[i], ldctx, alpha_ratio, V=WH)
             W_new = epsilon_floor(W_new, eps)
             state.W[i] = W_new / W_new.sum(axis=0, keepdims=True)
             return
-        W_bar = state.W[i + 1] @ state.H[i + 1]
         ctx = InnerWContext(
             Y=target,
             W_tilde=state.W[i],
             H=state.H[i],
-            W_bar=W_bar,
+            W_bar=V[i + 1],
             lambda_ratio=lams[i + 1] / lams[i],
         )
         W_new, run = admm_solve_w(
@@ -243,27 +260,26 @@ class MinvolBlocks:
             max_iter=config.admm_max_iter,
             tol=config.admm_tol,
             eps=eps,
+            V=WH,
         )
         if not run.converged:
             self.stalled_admm += 1
         # A truncated ADMM can return a worse point than the current iterate
         # (its iterates are not monotone in the subproblem objective); reject
         # such steps to keep the outer sweep a descent method.
-        before = _w_block_value(
-            state.W[i], target, state.H[i], W_bar,
-            lams[i], lams[i + 1], alphas[i], config.delta,
-        )
-        after = _w_block_value(
-            W_new, target, state.H[i], W_bar,
-            lams[i], lams[i + 1], alphas[i], config.delta,
-        )
+        weights = (lams[i], lams[i + 1], alphas[i], config.delta)
+        before, terms = _w_block_value(state.W[i], WH, target, ctx.W_bar, *weights)
+        WH_new = W_new @ state.H[i]
+        after, new_terms = _w_block_value(W_new, WH_new, target, ctx.W_bar, *weights)
         if after <= before + 1e-12 * max(1.0, abs(before)):
-            state.W[i] = W_new
+            state.W[i], V[i], terms = W_new, WH_new, new_terms
         else:
             self.rejected_steps += 1
+        self.cached[i] = terms
 
-    def objective(self, state: DeepState, config: SolverConfig):
-        return eval_objective(state, config, self.model)
+    def objective(self, state: DeepState, config: SolverConfig, traced: bool = True):
+        # The log-dets are min-vol objective terms, kept with or without a trace.
+        return eval_objective(state, config, self.model, self.V, self.positive, self.cached)
 
     def slack(self, previous_total: float, lams) -> float:
         return 10.0 * self.config.admm_tol * (sum(self.alphas) + sum(lams))

@@ -293,6 +293,8 @@ def eval_objective(
     model: Literal["plain", "minvol"] = "plain",
     products: Optional[List[np.ndarray]] = None,
     positive: Optional[np.ndarray] = None,
+    cached: Optional[dict] = None,
+    logdets: bool = True,
 ):
     """Total objective and per-layer terms for either deep NMF model.
 
@@ -308,24 +310,30 @@ def eval_objective(
     each product is computed into its array, and the divergence takes the
     solvers' path of ``beta_div_matrix``, with ``positive`` as layer 1's
     mask ``X > 0`` (None if X has no zero; deeper targets are floored W).
-    The values are the same.
+    The values are the same.  ``cached`` maps a layer to the
+    ``(divergence, logdet)`` the caller evaluated at the current factors,
+    its product already in ``products``.  ``logdets=False`` leaves the
+    log-dets out (NaN): for the plain model, when nothing reads them.
     """
     lams = config.lambdas()
     alphas = config.alphas()
     per_layer = []
     total = 0.0
     for i in range(state.num_layers):
-        if products is None:
-            div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], config.beta)
+        if cached and i in cached:
+            div, ld = cached[i]
         else:
-            V = np.matmul(state.W[i], state.H[i], out=products[i])
-            # A fresh work array: held beside each product, a second one
-            # raised the peak memory of the deep sweeps (README).
-            div = beta_div_matrix(
-                state.prev_w(i), V, config.beta, out=np.empty_like(V),
-                positive=positive if i == 0 else None,
-            )
-        ld = logdet_gram(state.W[i], config.delta)
+            if products is None:
+                div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], config.beta)
+            else:
+                V = np.matmul(state.W[i], state.H[i], out=products[i])
+                # A fresh work array: held beside each product, a second one
+                # raised the peak memory of the deep sweeps (README).
+                div = beta_div_matrix(
+                    state.prev_w(i), V, config.beta, out=np.empty_like(V),
+                    positive=positive if i == 0 else None,
+                )
+            ld = logdet_gram(state.W[i], config.delta) if logdets else np.nan
         weighted_ld = alphas[i] * ld if model == "minvol" else 0.0
         per_layer.append(
             LayerObjective(

@@ -2,10 +2,10 @@
 
 Multilayer fits one layer at a time and never revisits earlier layers; the
 deep solver re-optimizes all factors jointly with block-majorization sweeps,
-which keeps the weighted total objective non-increasing.  The deep solver is
-warm-started from a multilayer run by default.  ``run_sweeps`` is the sweep
-driver of all three solvers (multilayer runs it once per layer); each model
-supplies its block updates.
+which keeps the weighted total objective non-increasing.  By default the
+deep solver starts from a multilayer run that keeps no trace.  ``run_sweeps``
+is the sweep driver of all three solvers (multilayer runs it once per
+layer); each model supplies its block updates.
 """
 
 from __future__ import annotations
@@ -75,16 +75,19 @@ def multilayer_factorize(
     unresolved lambdas.  The trace has one record per sweep of every layer;
     layers not fitted yet have NaN errors.
     """
+    lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
+    trace = ConvergenceTrace(len(lams), lambdas=lams)
+    return _fit_layers(X, config, trace), trace
+
+
+def _fit_layers(X: np.ndarray, config: SolverConfig, trace: Optional[ConvergenceTrace]):
+    """The layer loop of ``multilayer_factorize``: the fitted state, each layer's records
+    stitched into ``trace``.  With ``trace`` None (the warm start of the deep and
+    min-vol solvers) no sweep keeps a record; the factors are the same."""
     _check_beta_zero_data(X, config.beta)
     state = init_random(X, config.layers, config.seed, ROW_SIMPLEX_H)
-    lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
-    trace = ConvergenceTrace(state.num_layers, lambdas=list(lams))
     errors = [np.nan] * state.num_layers
     for i, spec in enumerate(config.layers):
-        # The other layers do not change while layer i is fitted.
-        others = DeepState(state.X, state.W[:i] + state.W[i + 1 :], state.H[:i] + state.H[i + 1 :])
-        residual = simplex_residual(others, ROW_SIMPLEX_H)
-        logdets = tuple(logdet_gram(w, config.delta) for w in others.W)
         target = state.prev_w(i)
         layer_config = replace(config, layers=[LayerSpec(spec.rank, lam=1.0)])
         # Layer i's initial factors move out of state, so run_sweeps frees them once floored.
@@ -94,25 +97,30 @@ def multilayer_factorize(
                 layer_config,
                 DeepState(X=target, W=[state.W.pop(i)], H=[state.H.pop(i)]),
                 DeepBlocks(layer_config),
+                traced=trace is not None,
             )
         except DomainError as err:  # run_sweeps names the layer of its one-layer problem
             raise DomainError(f"{err} of the one-layer problem for layer {i + 1}") from err
-        for rec in layer_trace.records:
-            errors[i] = rec.layer_errors[0]
-            known = [e for e in errors if np.isfinite(e)]
-            trace.append(
-                SweepRecord(
-                    sweep=len(trace),
-                    total_objective=float(np.dot(lams[: len(known)], known)),
-                    layer_errors=tuple(errors),
-                    logdet_terms=logdets[:i] + rec.logdet_terms + logdets[i:],
-                    max_residual=float(np.maximum(residual, rec.max_residual)),  # keeps NaN
-                    seconds=rec.seconds,
+        if trace is not None:
+            # state holds the other layers, which did not change while layer i was fitted.
+            residual = simplex_residual(state, ROW_SIMPLEX_H)
+            logdets = tuple(logdet_gram(w, config.delta) for w in state.W)
+            for rec in layer_trace.records:
+                errors[i] = rec.layer_errors[0]
+                known = [e for e in errors if np.isfinite(e)]
+                trace.append(
+                    SweepRecord(
+                        sweep=len(trace),
+                        total_objective=float(np.dot(trace.lambdas[: len(known)], known)),
+                        layer_errors=tuple(errors),
+                        logdet_terms=logdets[:i] + rec.logdet_terms + logdets[i:],
+                        max_residual=float(np.maximum(residual, rec.max_residual)),  # keeps NaN
+                        seconds=rec.seconds,
+                    )
                 )
-            )
         state.W.insert(i, fitted.W[0])
         state.H.insert(i, fitted.H[0])
-    return state, trace
+    return state
 
 
 class DeepBlocks:
@@ -156,8 +164,9 @@ class DeepBlocks:
                 target, state.W[i], state.H[i], beta, eps=eps, scratch=V[i]
             )
 
-    def objective(self, state: DeepState, config: SolverConfig):
-        return eval_objective(state, config, self.model, self.V, self.positive)
+    def objective(self, state: DeepState, config: SolverConfig, traced: bool = True):
+        # The plain model's log-dets are diagnostics: only a trace reads them.
+        return eval_objective(state, config, self.model, self.V, self.positive, logdets=traced)
 
     def slack(self, previous_total: float, lams) -> float:
         return MONOTONICITY_REL_SLACK * max(1.0, abs(previous_total))
@@ -168,7 +177,8 @@ def run_sweeps(
     config: SolverConfig,
     warm: Optional[DeepState],
     blocks,
-) -> Tuple[DeepState, ConvergenceTrace]:
+    traced: bool = True,
+) -> Tuple[DeepState, Optional[ConvergenceTrace]]:
     """Block-majorization sweeps shared by all three solvers.
 
     The start is ``warm`` (its factors, fitted to ``X``), else
@@ -176,10 +186,12 @@ def run_sweeps(
     Factors are floored and put in the convention of ``blocks.constraint``;
     lambda weights left as ``None`` are auto-balanced at that state.  Each
     sweep calls ``blocks.update_layer(state, i, lams)`` for every layer, then
-    ``blocks.objective(state, config)``, which may not rise by more than
-    ``blocks.slack(previous_total, lams)`` (else ``MonotonicityError``).
+    ``blocks.objective(state, config, traced)``, which may not rise by more
+    than ``blocks.slack(previous_total, lams)`` (else ``MonotonicityError``).
     The trace's log-det columns are the objective's per-layer log-dets.  A
-    positive ``config.rel_obj_tol`` stops the run early.
+    positive ``config.rel_obj_tol`` stops the run early.  With ``traced``
+    False the trace is None: no sweep builds a record or its residual, and
+    the objective may skip what only the trace reads.
 
     The block kernels check nothing; here the data and a warm state are
     checked (its chain must fit ``X`` and its ranks equal ``config.ranks``),
@@ -200,7 +212,7 @@ def run_sweeps(
             raise DomainError("warm factors must be finite")
         del warm  # the floors below free the factors no caller holds any more
     elif config.warm_start_sweeps > 0:
-        state, _ = multilayer_factorize(X, replace(config, max_sweeps=config.warm_start_sweeps))
+        state = _fit_layers(X, replace(config, max_sweeps=config.warm_start_sweeps), None)
         if column_w:
             _column_normalize_chain(state)
     else:
@@ -218,7 +230,7 @@ def run_sweeps(
         )
     lams = config.lambdas()
 
-    trace = ConvergenceTrace(state.num_layers, lambdas=list(lams))
+    trace = ConvergenceTrace(state.num_layers, lambdas=list(lams)) if traced else None
     previous_total = np.inf
     for sweep in range(config.max_sweeps):
         started = time.perf_counter()
@@ -227,23 +239,24 @@ def run_sweeps(
         for i in range(state.num_layers):
             if not (np.isfinite(state.W[i]).all() and np.isfinite(state.H[i]).all()):
                 raise DomainError(f"non-finite factor after sweep {sweep}, in layer {i + 1}")
-        total, per_layer = blocks.objective(state, config)
+        total, per_layer = blocks.objective(state, config, traced)
         slack = blocks.slack(previous_total, lams)
         if total > previous_total + slack:
             raise MonotonicityError(
                 f"{blocks.model} objective rose from {previous_total} to {total} "
                 f"at sweep {sweep}, beyond the slack {slack}"
             )
-        trace.append(
-            SweepRecord(
-                sweep=sweep,
-                total_objective=total,
-                layer_errors=tuple(t.divergence for t in per_layer),
-                logdet_terms=tuple(t.logdet for t in per_layer),
-                max_residual=simplex_residual(state, blocks.constraint),
-                seconds=time.perf_counter() - started,
+        if traced:
+            trace.append(
+                SweepRecord(
+                    sweep=sweep,
+                    total_objective=total,
+                    layer_errors=tuple(t.divergence for t in per_layer),
+                    logdet_terms=tuple(t.logdet for t in per_layer),
+                    max_residual=simplex_residual(state, blocks.constraint),
+                    seconds=time.perf_counter() - started,
+                )
             )
-        )
         if config.rel_obj_tol > 0 and np.isfinite(previous_total):
             if abs(previous_total - total) <= config.rel_obj_tol * max(1.0, abs(previous_total)):
                 break

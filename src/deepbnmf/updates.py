@@ -232,10 +232,12 @@ def _h_simplex_general(W, Y, H_tilde, V, b):
     return H, dead
 
 
-def update_h_plain(W, Y, H_tilde, beta, eps: float = MACHINE_EPS):
+def update_h_plain(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
     """One classical multiplicative update of H for D_beta(Y, W H), no constraint;
-    unchecked preconditions as for ``update_h_simplex``."""
-    V = W @ H_tilde
+    unchecked preconditions as for ``update_h_simplex``.  ``V``, if given, is
+    the product ``W @ H_tilde``; it is only read."""
+    if V is None:
+        V = W @ H_tilde
     numer = W.T @ (Y * V ** (beta - 2.0))
     denom = W.T @ V ** (beta - 1.0)
     H = H_tilde * (numer / denom) ** mu_exponent(beta)

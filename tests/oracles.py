@@ -232,8 +232,9 @@ def beta_div_scalar(x: float, y: float, beta) -> float:
         if y == 0.0:
             return INFINITE_DIVERGENCE if x > 0 else 0.0
         return float(-4.0 * math.sqrt(x) + 2.0 * math.sqrt(y) + 2.0 * x / math.sqrt(y))
-    # beta == 1.5
-    return float((4.0 / 3.0) * (x ** 1.5 + 0.5 * y ** 1.5 - 1.5 * x * math.sqrt(y)))
+    # beta == 1.5: (4/3) d^2 (sqrt x + sqrt y / 2), d = sqrt x - sqrt y without cancellation
+    d = (x - y) / (math.sqrt(x) + math.sqrt(y))
+    return float((4.0 / 3.0) * d * d * (math.sqrt(x) + 0.5 * math.sqrt(y)))
 
 
 def _log_ratio(x: float, y: float) -> float:
@@ -266,11 +267,12 @@ def beta_div_cells(A, B, b: float) -> np.ndarray:
         elif b == 0.5:
             ratio = np.where(B > 0, A / np.sqrt(np.where(B > 0, B, 1.0)), np.where(A > 0, np.inf, 0.0))
             total = -4.0 * np.sqrt(A) + 2.0 * np.sqrt(B) + 2.0 * ratio
-        else:  # beta == 1.5
-            total = (4.0 / 3.0) * (A ** 1.5 + 0.5 * B ** 1.5 - 1.5 * A * np.sqrt(B))
+        else:  # beta == 1.5, as (4/3) d^2 (sqrt A + sqrt B / 2) with d = sqrt A - sqrt B
+            d = (A - B) / (np.sqrt(A) + np.sqrt(B))
+            total = (4.0 / 3.0) * d * d * (np.sqrt(A) + 0.5 * np.sqrt(B))
     total = np.where(np.isnan(total), INFINITE_DIVERGENCE, total)
-    # The divergence is exactly zero on the diagonal; rounding in the power
-    # forms must not leak through.
+    # The divergence is exactly zero on the diagonal; rounding in the
+    # beta = 1/2 form must not leak through (and A = B = 0 is 0/0 at 3/2).
     return np.where(A == B, 0.0, total)
 
 

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import warnings
@@ -156,16 +157,19 @@ def special_grid_differences(beta):
 
 
 def assert_layouts_match(beta, order):
-    """C or F inputs, strided views of them, and B in the other order."""
-    rng = np.random.default_rng(4)
-    A = rng.uniform(0.0, 3.0, (40, 30)) * (rng.random((40, 30)) < 0.5)
-    B = rng.uniform(0.01, 3.0, (40, 30))
-    other = "C" if order == "F" else "F"
-    A, B = np.asarray(A, order=order), np.asarray(B, order=order)
-    if beta == 0.0:
-        A = A + 0.5  # no zero cell, where every Itakura-Saito sum is inf
-    for a, b in ((A, B), (A[:, ::3], B[:, ::3]), (A, np.asarray(B, order=other))):
-        assert same_bits(beta_div_matrix(a, b, beta), masked_sum(a, b, beta))
+    """C or F inputs, strided views of them, and B in the other order, over
+    50 draws: a sum in another layout than the masked form's differs in its
+    last bit on about a third of them."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.0, 3.0, (40, 30)) * (rng.random((40, 30)) < 0.5)
+        B = rng.uniform(0.01, 3.0, (40, 30))
+        other = "C" if order == "F" else "F"
+        A, B = np.asarray(A, order=order), np.asarray(B, order=order)
+        if beta == 0.0:
+            A = A + 0.5  # no zero cell, where every Itakura-Saito sum is inf
+        for a, b in ((A, B), (A[:, ::3], B[:, ::3]), (A, np.asarray(B, order=other))):
+            assert same_bits(beta_div_matrix(a, b, beta), masked_sum(a, b, beta)), seed
 
 
 class TestKlInPlace:
@@ -250,6 +254,51 @@ class TestPlainForms:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_layouts(self, beta, order):
         assert_layouts_match(beta, order)
+
+
+def exact_three_half(a, b):
+    """The beta = 3/2 cell in 80-digit decimal arithmetic, from its expanded
+    form (4/3)(a^1.5 + b^1.5 / 2 - 1.5 a sqrt(b)), with no rounding of its own
+    that counts at double precision."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        a, b = decimal.Decimal(float(a)), decimal.Decimal(float(b))
+        return (4 * a * a.sqrt() + 2 * b * b.sqrt() - 6 * a * b.sqrt()) / 3
+
+
+class TestThreeHalfCells:
+    """beta = 3/2 cells are (4/3) d^2 (sqrt A + sqrt B / 2) with d = sqrt A -
+    sqrt B taken as (A - B) / (sqrt A + sqrt B): the expanded form cancels
+    near the diagonal and overflows on cells far below the largest float."""
+
+    @staticmethod
+    def cells():
+        rng = np.random.default_rng(0)
+        near = [(a, a * (1 + rng.uniform(-1e-6, 1e-6))) for a in 10 ** rng.uniform(-100, 100, 300)]
+        ulp = [(a, np.nextafter(a, math.inf)) for a in 10.0 ** rng.uniform(-100, 200, 50)]
+        ulp += [(np.nextafter(a, 0.0), a) for a in 10.0 ** rng.uniform(-100, 200, 50)]
+        huge = [(a, a * rng.uniform(0.5, 1.5)) for a in 10.0 ** rng.uniform(150, 205, 100)]
+        huge += [(1e206, np.nextafter(1e206, math.inf)), (2e205, 0.0)]
+        zero = [(0.0, b) for b in 10.0 ** rng.uniform(-100, 200, 30)]
+        zero += [(b, 0.0) for b in 10.0 ** rng.uniform(-100, 200, 30)]
+        return near + ulp + huge + zero
+
+    def test_cells_are_exact_to_1e_15(self):
+        worst = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow where the cell is finite
+            for a, b in self.cells():
+                exact = exact_three_half(a, b)
+                got = beta_div_matrix([[a]], [[b]], 1.5)
+                assert math.isfinite(got) and exact > 0, (a, b)
+                worst = max(worst, float(abs(decimal.Decimal(got) - exact) / exact))
+        assert worst <= 1e-15
+
+    def test_found_overflow_and_zero_cells(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(beta_div_matrix([[1e206]], [[np.nextafter(1e206, math.inf)]], 1.5))
+            assert beta_div_matrix([[0.0, 3.0]], [[0.0, 3.0]], 1.5) == 0.0  # 0/0 guarded
 
 
 class TestUnderflowingQuotient:

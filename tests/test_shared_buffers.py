@@ -1,11 +1,14 @@
-"""The deep sweeps share one product buffer per layer, bit for bit.
+"""The deep and min-vol sweeps share one product per layer, bit for bit.
 
 ``DeepBlocks`` keeps ``V_l = W_l H_l`` from one objective evaluation to the
 next sweep, where it is the H step's ``W H~`` and the ``W_bar`` of the layer
-below, and the kernels write their beta = 1 quotients into it.  These tests
-pin that every kernel and the divergence return the same bits with and
-without the shared arrays, that the driver never hands a kernel a stale
-product, and that no returned factor aliases another or a buffer.
+below, and the kernels write their beta = 1 quotients into it.
+``MinvolBlocks`` keeps the same products, shares ``W~ H`` between its W
+step and the step's rejection test, and hands the accepted side's product,
+divergence and log-det to the objective.  These tests pin that every kernel
+and the divergence return the same bits with and without the shared arrays,
+that the driver never hands a kernel or the objective a stale product or
+value, and that no returned factor aliases another or a buffer.
 """
 
 import itertools
@@ -13,10 +16,12 @@ import itertools
 import numpy as np
 import pytest
 
+import deepbnmf.minvol
 import deepbnmf.solvers
 from conftest import sparse_chain_data
 from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
-from deepbnmf.model import LayerSpec, SolverConfig
+from deepbnmf.minvol import minvol_factorize
+from deepbnmf.model import LayerSpec, SolverConfig, eval_objective, logdet_gram
 from deepbnmf.solvers import deep_factorize, multilayer_factorize
 from deepbnmf.updates import InnerWContext, update_h_simplex, update_w_inner, update_w_terminal
 
@@ -157,4 +162,79 @@ def test_multilayer_factors_alias_nothing(monkeypatch):
     X = sparse_chain_data(7063, m=40, n=30, ranks=CHAIN_RANKS)
     state, _ = multilayer_factorize(X, chain_config(1.0))
     assert len(buffers) == 6 * 3
+    assert_no_aliasing(state, buffers)
+
+
+def spy_on_minvol(monkeypatch):
+    """Check each product, divergence and log-det the min-vol sweeps hand a
+    kernel or the objective against a fresh evaluation at the same factors;
+    return the blocks objects made and every product handed out."""
+    made, buffers, expected_bar = [], [], {}
+    mv = deepbnmf.minvol
+    real_init, real_layer = mv.MinvolBlocks.__init__, mv.MinvolBlocks.update_layer
+    real_h, real_admm, real_terminal = mv.update_h_plain, mv.admm_solve_w, mv.minvol_terminal_w_step
+    real_objective = mv.eval_objective
+
+    def init(self, config):
+        real_init(self, config)
+        made.append(self)
+
+    def update_layer(self, state, i, lams):
+        if i + 1 < state.num_layers:
+            expected_bar["W_bar"] = state.W[i + 1] @ state.H[i + 1]
+        return real_layer(self, state, i, lams)
+
+    def h_step(W, Y, H_tilde, beta, eps, V):
+        assert V is not None and np.array_equal(V, W @ H_tilde)
+        buffers.append(V)
+        return real_h(W, Y, H_tilde, beta, eps=eps, V=V)
+
+    def admm(ctx, ldctx, alpha_ratio, V, **kwargs):
+        assert np.array_equal(V, ctx.W_tilde @ ctx.H)
+        assert np.array_equal(ctx.W_bar, expected_bar.pop("W_bar"))
+        buffers.extend((V, ctx.W_bar))
+        return real_admm(ctx, ldctx, alpha_ratio, V=V, **kwargs)
+
+    def terminal(Y, W_tilde, H, ldctx, alpha_ratio, V):
+        assert np.array_equal(V, W_tilde @ H)
+        buffers.append(V)
+        return real_terminal(Y, W_tilde, H, ldctx, alpha_ratio, V=V)
+
+    def objective(state, config, model, products, positive, cached):
+        assert sorted(cached) == list(range(state.num_layers - 1))  # the last is formed here
+        for i, (div, ld) in cached.items():
+            fresh = state.W[i] @ state.H[i]
+            assert np.array_equal(products[i], fresh)
+            assert same_bits(div, beta_div_matrix(state.prev_w(i), fresh, 1.0))
+            assert same_bits(ld, logdet_gram(state.W[i], config.delta))
+        total, per_layer = real_objective(state, config, model, products, positive, cached)
+        assert all(np.array_equal(V, w @ h) for V, w, h in zip(products, state.W, state.H))
+        assert same_bits(total, real_objective(state, config, model)[0])
+        buffers.extend(products)
+        return total, per_layer
+
+    monkeypatch.setattr(mv.MinvolBlocks, "__init__", init)
+    monkeypatch.setattr(mv.MinvolBlocks, "update_layer", update_layer)
+    monkeypatch.setattr(mv, "update_h_plain", h_step)
+    monkeypatch.setattr(mv, "admm_solve_w", admm)
+    monkeypatch.setattr(mv, "minvol_terminal_w_step", terminal)
+    monkeypatch.setattr(mv, "eval_objective", objective)
+    return made, buffers
+
+
+@pytest.mark.filterwarnings("ignore:.*inner ADMM solves stopped:RuntimeWarning")
+@pytest.mark.parametrize("scale", (1.0, 1e4))
+def test_minvol_sweeps_share_fresh_products(scale, monkeypatch):
+    # At scale 1e4 half the ADMM steps are rejected, so both sides of the
+    # rejection test hand their product on; at 1 every step is.
+    made, buffers = spy_on_minvol(monkeypatch)
+    X = scale * sparse_chain_data(10090, m=40, n=30, ranks=CHAIN_RANKS)
+    layers = [LayerSpec(r, alpha=a) for r, a in zip(CHAIN_RANKS, (0.2, 0.1, 0.05))]
+    config = SolverConfig(beta=1.0, layers=layers, max_sweeps=6, warm_start_sweeps=4, seed=2)
+    state, trace = minvol_factorize(X, config)
+    (blocks,) = made
+    assert len(trace) == 6
+    assert 0 < blocks.rejected_steps <= 12
+    # Per sweep: 3 H steps, 2 ADMM solves (2 arrays each), 1 terminal step, 3 products.
+    assert len(buffers) == 6 * (3 + 2 * 2 + 1 + 3)
     assert_no_aliasing(state, buffers)

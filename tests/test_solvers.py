@@ -396,7 +396,7 @@ class TestSweepDriver:
         def no_multilayer(*args, **kwargs):
             raise AssertionError("warm_start_sweeps=0 must skip the multilayer run")
 
-        monkeypatch.setattr(deepbnmf.solvers, "multilayer_factorize", no_multilayer)
+        monkeypatch.setattr(deepbnmf.solvers, "_fit_layers", no_multilayer)
         state, trace = driver_solve(model, X, warm_start_sweeps=0)
         init = init_random(X, driver_layers(model), 3, SOLVERS[model][1])
         warm_state, warm_trace = driver_solve(model, X, warm=init)
@@ -425,16 +425,54 @@ class TestSweepDriver:
         assert len(calls) == 2
 
     def test_multilayer_warm_start_gets_run_settings(self, model, monkeypatch):
-        real = deepbnmf.solvers.multilayer_factorize
+        # The warm start runs multilayer's layer loop, with no trace.
+        real = deepbnmf.solvers._fit_layers
         seen = []
 
-        def spy(X, config):
-            seen.append(config)
-            return real(X, config)
+        def spy(X, config, trace):
+            seen.append((config, trace))
+            return real(X, config, trace)
 
-        monkeypatch.setattr(deepbnmf.solvers, "multilayer_factorize", spy)
+        monkeypatch.setattr(deepbnmf.solvers, "_fit_layers", spy)
         driver_solve(model, driver_data(), rel_obj_tol=1e-4)
-        assert [(c.max_sweeps, c.rel_obj_tol) for c in seen] == [(4, 1e-4)]
+        assert [(c.max_sweeps, c.rel_obj_tol, t) for c, t in seen] == [(4, 1e-4, None)]
+
+    def test_warm_start_keeps_no_trace(self, model, monkeypatch):
+        # The multilayer warm start forms no log-det, residual or record;
+        # multilayer's own trace keeps them (TestMultilayer::test_trace_structure).
+        real_fit = deepbnmf.solvers._fit_layers
+        warm_calls, phase = [], ["sweeps"]
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                warm_calls.append((phase[0], name))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in (
+            (deepbnmf.model, "logdet_gram"),
+            (deepbnmf.solvers, "logdet_gram"),
+            (deepbnmf.minvol, "logdet_gram"),
+            (deepbnmf.solvers, "simplex_residual"),
+            (deepbnmf.solvers, "SweepRecord"),
+        ):
+            counting(module, name)
+
+        def fit(X, config, trace):
+            phase[0] = "warm"
+            try:
+                return real_fit(X, config, trace)
+            finally:
+                phase[0] = "sweeps"
+
+        monkeypatch.setattr(deepbnmf.solvers, "_fit_layers", fit)
+        _, trace = driver_solve(model, driver_data())
+        assert len(trace) == 6
+        assert not [c for c in warm_calls if c[0] == "warm"]
+        assert ("sweeps", "SweepRecord") in warm_calls and ("sweeps", "logdet_gram") in warm_calls
 
     def test_mixed_lambdas_fill_only_unset_layers(self, model):
         X = driver_data()
