@@ -15,7 +15,7 @@ from .dataio import read_matrix, write_matrix, write_mosaic_pgm, write_trace
 from .divergence import SUPPORTED_BETAS, check_beta
 from .errors import DeepBnmfError
 from .metrics import compare_runs, composite_features, hoyer_sparsity, ssc_row_zero_check
-from .model import ConvergenceTrace, DeepState, LayerSpec, SolverConfig
+from .model import DeepState, LayerSpec, SolverConfig
 from .minvol import minvol_factorize
 from .solvers import deep_factorize, multilayer_factorize
 
@@ -60,8 +60,6 @@ def _build_parser():
     fac.add_argument("--sweeps", type=int, default=200)
     fac.add_argument("--warm-sweeps", type=int, default=100)
     fac.add_argument("--seed", type=int, default=0)
-    fac.add_argument("--eps-floor", type=float, default=None,
-                     help="elementwise factor floor (default: machine epsilon)")
     fac.add_argument("--rel-obj-tol", type=float, default=0.0,
                      help="early stop on relative objective change (0 disables)")
     fac.add_argument("--timing", action="store_true",
@@ -131,7 +129,7 @@ def _cmd_factorize(args):
     if args.method == "minvol" and args.beta != 1.0:
         raise UsageError("the minvol method requires beta = 1")
     layers = _resolve_layers(args)
-    kwargs = dict(
+    config = SolverConfig(
         beta=args.beta,
         layers=layers,
         delta=args.delta,
@@ -143,9 +141,6 @@ def _cmd_factorize(args):
         seed=args.seed,
         rel_obj_tol=args.rel_obj_tol,
     )
-    if args.eps_floor is not None:
-        kwargs["eps_floor"] = args.eps_floor
-    config = SolverConfig(**kwargs)
     X = read_matrix(args.input, args.input_format)
     if args.method == "multilayer":
         state, trace = multilayer_factorize(X, config)
@@ -176,7 +171,6 @@ def _cmd_factorize(args):
         "sweeps": config.max_sweeps,
         "warm_sweeps": config.warm_start_sweeps,
         "seed": config.seed,
-        "eps_floor": f"{config.eps_floor:.17g}",
         "rel_obj_tol": config.rel_obj_tol,
         "timing": args.timing,
         "out": str(out),
@@ -210,12 +204,7 @@ def _cmd_compare(args):
     if manifest_b.get("beta") is not None and check_beta(manifest_b["beta"]) != beta:
         print("warning: runs used different beta values; using the deep run's",
               file=sys.stderr)
-    report = compare_runs(
-        (state_a, ConvergenceTrace(state_a.num_layers)),
-        (state_b, ConvergenceTrace(state_b.num_layers)),
-        beta,
-    )
-    text = report.to_csv()
+    text = compare_runs(state_a, state_b, beta).to_csv()
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .divergence import beta_div_matrix, check_beta
 from .errors import ComparisonError, DomainError
-from .model import ConvergenceTrace, DeepState
+from .model import DeepState
 
 #: Returned for vectors on which the sparsity measure is undefined.
 UNDEFINED_METRIC = math.nan
@@ -90,11 +90,7 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_runs(
-    run_a: Tuple[DeepState, ConvergenceTrace],
-    run_b: Tuple[DeepState, ConvergenceTrace],
-    beta,
-) -> ComparisonReport:
+def compare_runs(state_a: DeepState, state_b: DeepState, beta) -> ComparisonReport:
     """Per-layer error ratios (a over b) and feature sparsities of two runs.
 
     Both runs must factorize the same data with the same ranks.  Sparsity is
@@ -102,7 +98,6 @@ def compare_runs(
     reading of layer-l features) and for the raw rows of each H_l.
     """
     b = check_beta(beta)
-    state_a, state_b = run_a[0], run_b[0]
     if state_a.num_layers != state_b.num_layers:
         raise ComparisonError("runs have different numbers of layers")
     if state_a.X.shape != state_b.X.shape or not np.array_equal(state_a.X, state_b.X):

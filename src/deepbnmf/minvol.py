@@ -25,13 +25,12 @@ from .model import (
     DeepState,
     MACHINE_EPS,
     SolverConfig,
-    eval_objective,
     logdet_gram,
 )
 from .scalars import lambert_w0_exp
 from .solvers import run_sweeps
 # Not called here; perfbench/tracer.py wraps these names on this module.
-from .model import auto_balance_weights  # noqa: F401
+from .model import auto_balance_weights, eval_objective  # noqa: F401
 from .solvers import multilayer_factorize  # noqa: F401
 from .updates import InnerWContext, epsilon_floor, solve_multipliers, update_h_plain
 
@@ -212,10 +211,11 @@ class MinvolBlocks:
     inner ADMM and the last one by the terminal step.  Counts the ADMM solves
     that stopped at the iteration cap and the steps rejected as non-descent.
 
-    One object serves one run and keeps ``V[l] = W_l H_l``: layer l's H-step
-    product and layer l-1's ``W_bar``.  After the H step it holds ``W~ H`` for
-    the W step and its rejection test; the accepted side's product, divergence
-    and log-det serve the objective, which forms only the last layer's.
+    ``update_layer`` reads the driver's products ``V[l] = W_l H_l``: layer
+    l's H-step product and layer l-1's ``W_bar``.  After the H step ``V[l]``
+    holds ``W~ H`` for the W step and its rejection test; the accepted side's
+    product goes into ``V``, and its divergence and log-det into ``cached``,
+    so the objective forms only the last layer's.
     """
 
     constraint = COLUMN_SIMPLEX_W
@@ -226,23 +226,18 @@ class MinvolBlocks:
         self.alphas = config.alphas()
         self.stalled_admm = 0
         self.rejected_steps = 0
-        self.V: List[np.ndarray] = []
         self.cached = {}  # layer -> (divergence, logdet) of its accepted side
-        self.positive: Optional[np.ndarray] = None  # X > 0, if X has a zero
 
-    def update_layer(self, state: DeepState, i: int, lams):
-        config, alphas, eps, V = self.config, self.alphas, self.config.eps_floor, self.V
-        if not V:
-            V.extend(w @ h for w, h in zip(state.W, state.H))
-            self.positive = None if state.X.all() else state.X > 0
+    def update_layer(self, state: DeepState, i: int, lams, V: List[np.ndarray]):
+        config, alphas = self.config, self.alphas
         target = state.prev_w(i)
-        state.H[i] = update_h_plain(state.W[i], target, state.H[i], config.beta, eps=eps, V=V[i])
+        state.H[i] = update_h_plain(state.W[i], target, state.H[i], config.beta, V=V[i])
         WH = np.matmul(state.W[i], state.H[i], out=V[i])
         ldctx = build_logdet_context(state.W[i], config.delta)
         alpha_ratio = alphas[i] / lams[i]
         if i == state.num_layers - 1:
             W_new = minvol_terminal_w_step(target, state.W[i], state.H[i], ldctx, alpha_ratio, V=WH)
-            W_new = epsilon_floor(W_new, eps)
+            W_new = epsilon_floor(W_new, MACHINE_EPS)
             state.W[i] = W_new / W_new.sum(axis=0, keepdims=True)
             return
         ctx = InnerWContext(
@@ -259,7 +254,6 @@ class MinvolBlocks:
             rho=config.rho,
             max_iter=config.admm_max_iter,
             tol=config.admm_tol,
-            eps=eps,
             V=WH,
         )
         if not run.converged:
@@ -276,10 +270,6 @@ class MinvolBlocks:
         else:
             self.rejected_steps += 1
         self.cached[i] = terms
-
-    def objective(self, state: DeepState, config: SolverConfig, traced: bool = True):
-        # The log-dets are min-vol objective terms, kept with or without a trace.
-        return eval_objective(state, config, self.model, self.V, self.positive, self.cached)
 
     def slack(self, previous_total: float, lams) -> float:
         return 10.0 * self.config.admm_tol * (sum(self.alphas) + sum(lams))

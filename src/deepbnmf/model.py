@@ -21,7 +21,7 @@ ROW_SIMPLEX_H = "row-simplex-h"
 COLUMN_SIMPLEX_W = "column-simplex-w"
 Constraint = Literal["row-simplex-h", "column-simplex-w"]
 
-#: Default elementwise floor applied to all factors (double machine epsilon).
+#: Elementwise floor applied to all factors (double machine epsilon).
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 
@@ -73,7 +73,6 @@ class SolverConfig:
     admm_tol: float = 1e-6
     max_sweeps: int = 200
     warm_start_sweeps: int = 100
-    eps_floor: float = MACHINE_EPS
     seed: int = 0
     # Early stop on relative objective change; 0 disables it so runs use the
     # full sweep budget (1e-9 is a reasonable opt-in value).
@@ -81,7 +80,7 @@ class SolverConfig:
 
     def __post_init__(self):
         self.beta = check_beta(self.beta)
-        for name in ("delta", "rho", "admm_tol", "eps_floor"):
+        for name in ("delta", "rho", "admm_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
         for name in ("admm_max_iter", "max_sweeps"):
@@ -312,8 +311,9 @@ def eval_objective(
     mask ``X > 0`` (None if X has no zero; deeper targets are floored W).
     The values are the same.  ``cached`` maps a layer to the
     ``(divergence, logdet)`` the caller evaluated at the current factors,
-    its product already in ``products``.  ``logdets=False`` leaves the
-    log-dets out (NaN): for the plain model, when nothing reads them.
+    its product already in ``products``.  ``logdets=False`` leaves the plain
+    model's diagnostic log-dets out (NaN), for when nothing reads them; the
+    min-vol log-dets are terms of its objective and are always formed.
     """
     lams = config.lambdas()
     alphas = config.alphas()
@@ -333,7 +333,7 @@ def eval_objective(
                     state.prev_w(i), V, config.beta, out=np.empty_like(V),
                     positive=positive if i == 0 else None,
                 )
-            ld = logdet_gram(state.W[i], config.delta) if logdets else np.nan
+            ld = logdet_gram(state.W[i], config.delta) if logdets or model == "minvol" else np.nan
         weighted_ld = alphas[i] * ld if model == "minvol" else 0.0
         per_layer.append(
             LayerObjective(

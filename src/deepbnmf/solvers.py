@@ -23,6 +23,7 @@ from .model import (
     ConvergenceTrace,
     DeepState,
     LayerSpec,
+    MACHINE_EPS,
     ROW_SIMPLEX_H,
     SolverConfig,
     SweepRecord,
@@ -63,8 +64,8 @@ def _check_beta_zero_data(X, beta):
 
 
 def multilayer_factorize(
-    X: np.ndarray, config: SolverConfig
-) -> Tuple[DeepState, ConvergenceTrace]:
+    X: np.ndarray, config: SolverConfig, traced: bool = True
+) -> Tuple[DeepState, Optional[ConvergenceTrace]]:
     """Sequential NMF down the chain: fit layer l to the frozen W of layer l-1.
 
     Each layer is a one-layer ``run_sweeps`` problem with ``DeepBlocks``
@@ -73,18 +74,13 @@ def multilayer_factorize(
     be non-increasing.  Layer weights are ignored: the greedy scheme
     optimizes each layer independently, so trace totals use weight 1 for
     unresolved lambdas.  The trace has one record per sweep of every layer;
-    layers not fitted yet have NaN errors.
+    layers not fitted yet have NaN errors.  With ``traced`` False (the warm
+    start of the deep and min-vol solvers) the trace is None and no sweep
+    keeps a record; the factors are the same.
     """
-    lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
-    trace = ConvergenceTrace(len(lams), lambdas=lams)
-    return _fit_layers(X, config, trace), trace
-
-
-def _fit_layers(X: np.ndarray, config: SolverConfig, trace: Optional[ConvergenceTrace]):
-    """The layer loop of ``multilayer_factorize``: the fitted state, each layer's records
-    stitched into ``trace``.  With ``trace`` None (the warm start of the deep and
-    min-vol solvers) no sweep keeps a record; the factors are the same."""
     _check_beta_zero_data(X, config.beta)
+    lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
+    trace = ConvergenceTrace(len(lams), lambdas=lams) if traced else None
     state = init_random(X, config.layers, config.seed, ROW_SIMPLEX_H)
     errors = [np.nan] * state.num_layers
     for i, spec in enumerate(config.layers):
@@ -97,11 +93,11 @@ def _fit_layers(X: np.ndarray, config: SolverConfig, trace: Optional[Convergence
                 layer_config,
                 DeepState(X=target, W=[state.W.pop(i)], H=[state.H.pop(i)]),
                 DeepBlocks(layer_config),
-                traced=trace is not None,
+                traced=traced,
             )
         except DomainError as err:  # run_sweeps names the layer of its one-layer problem
             raise DomainError(f"{err} of the one-layer problem for layer {i + 1}") from err
-        if trace is not None:
+        if traced:
             # state holds the other layers, which did not change while layer i was fitted.
             residual = simplex_residual(state, ROW_SIMPLEX_H)
             logdets = tuple(logdet_gram(w, config.delta) for w in state.W)
@@ -120,36 +116,31 @@ def _fit_layers(X: np.ndarray, config: SolverConfig, trace: Optional[Convergence
                 )
         state.W.insert(i, fitted.W[0])
         state.H.insert(i, fitted.H[0])
-    return state
+    return state, trace
 
 
 class DeepBlocks:
     """Block updates of plain deep beta-NMF: rows of H on the simplex.
 
     Intermediate W blocks have entrywise closed forms; the last W block takes
-    one classical multiplicative step.  One object serves one run and holds
-    one buffer per layer, made at the first update: ``V[l] = W_l H_l``, which
-    each objective evaluation refreshes in place.  In the next sweep it is
-    the ``W_bar`` of layer l-1's W step and then layer l's H step's
-    ``W H~``, bit for bit the product those steps used to form; that H step
-    writes its quotient over it, and layer l's W step its own product.
+    one classical multiplicative step.  ``update_layer`` reads the driver's
+    products ``V[l] = W_l H_l``, which each objective evaluation refreshes in
+    place.  In the next sweep ``V[l]`` is the ``W_bar`` of layer l-1's W step
+    and then layer l's H step's ``W H~``, bit for bit the product those steps
+    used to form; that H step writes its quotient over it, and layer l's W
+    step its own product.  The plain model caches no objective term.
     """
 
     constraint = ROW_SIMPLEX_H
     model = "plain"
+    cached = None
 
     def __init__(self, config: SolverConfig):
-        self.config = config
-        self.V: List[np.ndarray] = []
-        self.positive: Optional[np.ndarray] = None  # X > 0, if X has a zero
+        self.beta = config.beta
 
-    def update_layer(self, state: DeepState, i: int, lams):
-        beta, eps, V = self.config.beta, self.config.eps_floor, self.V
-        if not V:
-            V.extend(w @ h for w, h in zip(state.W, state.H))
-            self.positive = None if state.X.all() else state.X > 0
+    def update_layer(self, state: DeepState, i: int, lams, V: List[np.ndarray]):
         target = state.prev_w(i)
-        state.H[i] = update_h_simplex(state.W[i], target, state.H[i], beta, eps=eps, V=V[i])
+        state.H[i] = update_h_simplex(state.W[i], target, state.H[i], self.beta, V=V[i])
         if i < state.num_layers - 1:
             ctx = InnerWContext(
                 Y=target,
@@ -158,15 +149,9 @@ class DeepBlocks:
                 W_bar=V[i + 1],
                 lambda_ratio=lams[i + 1] / lams[i],
             )
-            state.W[i] = update_w_inner(ctx, beta, eps=eps, scratch=V[i])
+            state.W[i] = update_w_inner(ctx, self.beta, scratch=V[i])
         else:
-            state.W[i] = update_w_terminal(
-                target, state.W[i], state.H[i], beta, eps=eps, scratch=V[i]
-            )
-
-    def objective(self, state: DeepState, config: SolverConfig, traced: bool = True):
-        # The plain model's log-dets are diagnostics: only a trace reads them.
-        return eval_objective(state, config, self.model, self.V, self.positive, logdets=traced)
+            state.W[i] = update_w_terminal(target, state.W[i], state.H[i], self.beta, scratch=V[i])
 
     def slack(self, previous_total: float, lams) -> float:
         return MONOTONICITY_REL_SLACK * max(1.0, abs(previous_total))
@@ -183,15 +168,19 @@ def run_sweeps(
 
     The start is ``warm`` (its factors, fitted to ``X``), else
     ``config.warm_start_sweeps`` of multilayer NMF, else a random state.
-    Factors are floored and put in the convention of ``blocks.constraint``;
-    lambda weights left as ``None`` are auto-balanced at that state.  Each
-    sweep calls ``blocks.update_layer(state, i, lams)`` for every layer, then
-    ``blocks.objective(state, config, traced)``, which may not rise by more
-    than ``blocks.slack(previous_total, lams)`` (else ``MonotonicityError``).
-    The trace's log-det columns are the objective's per-layer log-dets.  A
-    positive ``config.rel_obj_tol`` stops the run early.  With ``traced``
-    False the trace is None: no sweep builds a record or its residual, and
-    the objective may skip what only the trace reads.
+    Factors are floored at ``MACHINE_EPS`` and put in the convention of
+    ``blocks.constraint``; lambda weights left as ``None`` are auto-balanced
+    at that state.  The driver then forms one product per layer,
+    ``V[l] = W_l H_l``, and the mask ``X > 0`` (None if X has no zero), and
+    keeps both for the run.  Each sweep calls
+    ``blocks.update_layer(state, i, lams, V)`` for every layer, then
+    ``eval_objective`` of ``blocks.model``, which refreshes ``V`` in place
+    and takes the strategy's ``blocks.cached`` terms; the total may not rise
+    by more than ``blocks.slack(previous_total, lams)`` (else
+    ``MonotonicityError``).  The trace's log-det columns are the objective's
+    per-layer log-dets.  A positive ``config.rel_obj_tol`` stops the run
+    early.  With ``traced`` False the trace is None: no sweep builds a record
+    or its residual, and the plain model's diagnostic log-dets are skipped.
 
     The block kernels check nothing; here the data and a warm state are
     checked (its chain must fit ``X`` and its ranks equal ``config.ranks``),
@@ -200,7 +189,6 @@ def run_sweeps(
     here too, once for all three solvers.
     """
     check_beta(config.beta)
-    eps = config.eps_floor
     column_w = blocks.constraint == COLUMN_SIMPLEX_W
     if warm is not None:
         state = DeepState(X=check_data(X), W=list(warm.W), H=list(warm.H))
@@ -212,16 +200,17 @@ def run_sweeps(
             raise DomainError("warm factors must be finite")
         del warm  # the floors below free the factors no caller holds any more
     elif config.warm_start_sweeps > 0:
-        state = _fit_layers(X, replace(config, max_sweeps=config.warm_start_sweeps), None)
+        warm_config = replace(config, max_sweeps=config.warm_start_sweeps)
+        state = multilayer_factorize(X, warm_config, traced=False)[0]
         if column_w:
             _column_normalize_chain(state)
     else:
         state = init_random(X, config.layers, config.seed, blocks.constraint)
     for i in range(state.num_layers):
-        state.W[i] = epsilon_floor(state.W[i], eps)
+        state.W[i] = epsilon_floor(state.W[i], MACHINE_EPS)
         if column_w:
             state.W[i] /= state.W[i].sum(axis=0, keepdims=True)
-        state.H[i] = epsilon_floor(state.H[i], eps)
+        state.H[i] = epsilon_floor(state.H[i], MACHINE_EPS)
 
     if any(spec.lam is None for spec in config.layers):
         balanced = auto_balance_weights(state, config.beta)
@@ -230,16 +219,20 @@ def run_sweeps(
         )
     lams = config.lambdas()
 
+    V = [w @ h for w, h in zip(state.W, state.H)]
+    positive = None if state.X.all() else state.X > 0
     trace = ConvergenceTrace(state.num_layers, lambdas=list(lams)) if traced else None
     previous_total = np.inf
     for sweep in range(config.max_sweeps):
         started = time.perf_counter()
         for i in range(state.num_layers):
-            blocks.update_layer(state, i, lams)
+            blocks.update_layer(state, i, lams, V)
         for i in range(state.num_layers):
             if not (np.isfinite(state.W[i]).all() and np.isfinite(state.H[i]).all()):
                 raise DomainError(f"non-finite factor after sweep {sweep}, in layer {i + 1}")
-        total, per_layer = blocks.objective(state, config, traced)
+        total, per_layer = eval_objective(
+            state, config, blocks.model, V, positive, blocks.cached, logdets=traced
+        )
         slack = blocks.slack(previous_total, lams)
         if total > previous_total + slack:
             raise MonotonicityError(

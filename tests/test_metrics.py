@@ -14,7 +14,7 @@ from deepbnmf.metrics import (
     hoyer_sparsity,
     ssc_row_zero_check,
 )
-from deepbnmf.model import ConvergenceTrace, DeepState
+from deepbnmf.model import DeepState
 
 
 class TestHoyer:
@@ -65,7 +65,7 @@ def make_run(seed, scale_w0=1.0):
     X, W, H = exact_two_layer_chain(seed)
     state = DeepState(X=X, W=[w.copy() for w in W], H=[h.copy() for h in H])
     state.W[0] = state.W[0] * scale_w0
-    return state, ConvergenceTrace(2)
+    return state
 
 
 class TestCompareRuns:
@@ -88,24 +88,18 @@ class TestCompareRuns:
         for f, r in zip(fwd.layers, rev.layers):
             assert f.error_ratio == pytest.approx(1.0 / r.error_ratio, rel=1e-10)
         for i, row in enumerate(fwd.layers):
-            err_a = beta_div_matrix(
-                run_a[0].prev_w(i), run_a[0].W[i] @ run_a[0].H[i], 1.0
-            )
-            err_b = beta_div_matrix(
-                run_b[0].prev_w(i), run_b[0].W[i] @ run_b[0].H[i], 1.0
-            )
+            err_a = beta_div_matrix(run_a.prev_w(i), run_a.W[i] @ run_a.H[i], 1.0)
+            err_b = beta_div_matrix(run_b.prev_w(i), run_b.W[i] @ run_b.H[i], 1.0)
             assert row.error_ratio == pytest.approx(err_a / err_b, rel=1e-12)
 
     def test_rank_mismatch_rejected(self):
         run_a = make_run(2)
-        X, W, H = exact_two_layer_chain(2, r1=3, r2=2)
-        run_b = (DeepState(X=run_a[0].X, W=W, H=H), ConvergenceTrace(2))
-        # same X required first; rebuild with matching X but different ranks
-        X0 = run_a[0].X
+        # The same X, different ranks.
+        X0 = run_a.X
         rng = np.random.default_rng(0)
         Wb = [rng.uniform(0.1, 1, (X0.shape[0], 3)), rng.uniform(0.1, 1, (X0.shape[0], 2))]
         Hb = [rng.uniform(0.1, 1, (3, X0.shape[1])), rng.uniform(0.1, 1, (2, 3))]
-        run_b = (DeepState(X=X0, W=Wb, H=Hb), ConvergenceTrace(2))
+        run_b = DeepState(X=X0, W=Wb, H=Hb)
         with pytest.raises(ComparisonError):
             compare_runs(run_a, run_b, 1.0)
 
@@ -124,11 +118,11 @@ class TestCompareRuns:
 
 class TestCompositeFeatures:
     def test_layer_one_is_h1(self):
-        state, _ = make_run(6)
+        state = make_run(6)
         assert np.array_equal(composite_features(state, 1), state.H[0])
 
     def test_layer_two_is_product(self):
-        state, _ = make_run(6)
+        state = make_run(6)
         expected = state.H[1] @ state.H[0]
         assert np.allclose(composite_features(state, 2), expected)
 

@@ -150,6 +150,23 @@ class TestEvalObjective:
         assert per_layer[1].logdet == pytest.approx(0.190620, abs=1e-6)
         assert total == pytest.approx(per_layer[0].logdet * 0.0 + 2.0 * math.log(1.1), abs=1e-10)
 
+    def test_logdets_flag_skips_only_plain_diagnostics(self):
+        # The min-vol log-dets are objective terms, so logdets=False keeps them.
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0.1, 1.0, (6, 5))
+        state = init_random(X, [LayerSpec(3), LayerSpec(2)], seed=2, constraint=COLUMN_SIMPLEX_W)
+        layers = [LayerSpec(3, lam=1.0, alpha=0.5), LayerSpec(2, lam=0.7, alpha=0.2)]
+        cfg = SolverConfig(beta=1.0, layers=layers, delta=0.2)
+        total, per_layer = eval_objective(state, cfg, "minvol")
+        skipped_total, skipped = eval_objective(state, cfg, "minvol", logdets=False)
+        assert np.float64(skipped_total).tobytes() == np.float64(total).tobytes()
+        for kept, term in zip(skipped, per_layer):
+            assert np.isfinite(kept.logdet) and kept.logdet == term.logdet
+        plain_total, plain = eval_objective(state, cfg, "plain")
+        skipped_total, skipped = eval_objective(state, cfg, "plain", logdets=False)
+        assert skipped_total == plain_total
+        assert all(np.isnan(t.logdet) for t in skipped)
+
     def test_unresolved_lambda_rejected(self):
         X, W, H = exact_two_layer_chain(3)
         state = DeepState(X=X, W=W, H=H)
@@ -262,7 +279,7 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             LayerSpec(2, lam=-1.0)
 
-    @pytest.mark.parametrize("name", ["delta", "rho", "admm_tol", "eps_floor", "rel_obj_tol"])
+    @pytest.mark.parametrize("name", ["delta", "rho", "admm_tol", "rel_obj_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_settings_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):

@@ -1,9 +1,10 @@
 """The deep and min-vol sweeps share one product per layer, bit for bit.
 
-``DeepBlocks`` keeps ``V_l = W_l H_l`` from one objective evaluation to the
-next sweep, where it is the H step's ``W H~`` and the ``W_bar`` of the layer
-below, and the kernels write their beta = 1 quotients into it.
-``MinvolBlocks`` keeps the same products, shares ``W~ H`` between its W
+The sweep driver keeps ``V_l = W_l H_l`` from one objective evaluation to
+the next sweep and hands the same list to every layer update of a run.
+There ``DeepBlocks`` reads it as the H step's ``W H~`` and the ``W_bar`` of
+the layer below, and the kernels write their beta = 1 quotients into it.
+``MinvolBlocks`` reads the same products, shares ``W~ H`` between its W
 step and the step's rejection test, and hands the accepted side's product,
 divergence and log-det to the objective.  These tests pin that every kernel
 and the divergence return the same bits with and without the shared arrays,
@@ -21,7 +22,7 @@ import deepbnmf.solvers
 from conftest import sparse_chain_data
 from deepbnmf.divergence import SUPPORTED_BETAS, beta_div_matrix
 from deepbnmf.minvol import minvol_factorize
-from deepbnmf.model import LayerSpec, SolverConfig, eval_objective, logdet_gram
+from deepbnmf.model import LayerSpec, SolverConfig, logdet_gram
 from deepbnmf.solvers import deep_factorize, multilayer_factorize
 from deepbnmf.updates import InnerWContext, update_h_simplex, update_w_inner, update_w_terminal
 
@@ -108,32 +109,54 @@ def chain_config(beta, **overrides):
 
 def spy_on_kernels(monkeypatch):
     """Check each shared product the deep sweeps hand a kernel against a fresh
-    product of the same factors; return every buffer handed out."""
-    buffers = []
+    product of the same factors; return every buffer handed out, and the
+    product list of every layer update and objective call in order."""
+    buffers, lists = [], []
     expected_bar = {}
     real_layer = deepbnmf.solvers.DeepBlocks.update_layer
     real_h = deepbnmf.solvers.update_h_simplex
     real_inner = deepbnmf.solvers.update_w_inner
+    real_objective = deepbnmf.solvers.eval_objective
 
-    def update_layer(self, state, i, lams):
+    def update_layer(self, state, i, lams, V):
+        lists.append(("update", V))
         if i + 1 < state.num_layers:
             expected_bar["W_bar"] = state.W[i + 1] @ state.H[i + 1]
-        return real_layer(self, state, i, lams)
+        return real_layer(self, state, i, lams, V)
 
-    def h_step(W, Y, H_tilde, beta, eps, V):
+    def h_step(W, Y, H_tilde, beta, V):
         assert V is not None and np.array_equal(V, W @ H_tilde)
         buffers.append(V)
-        return real_h(W, Y, H_tilde, beta, eps=eps, V=V)
+        return real_h(W, Y, H_tilde, beta, V=V)
 
-    def inner_step(ctx, beta, eps, scratch):
+    def inner_step(ctx, beta, scratch):
         assert np.array_equal(ctx.W_bar, expected_bar.pop("W_bar"))
         buffers.extend((ctx.W_bar, scratch))
-        return real_inner(ctx, beta, eps=eps, scratch=scratch)
+        return real_inner(ctx, beta, scratch=scratch)
+
+    def objective(state, config, model, products, positive, cached, logdets):
+        lists.append(("objective", products))
+        return real_objective(state, config, model, products, positive, cached, logdets=logdets)
 
     monkeypatch.setattr(deepbnmf.solvers.DeepBlocks, "update_layer", update_layer)
     monkeypatch.setattr(deepbnmf.solvers, "update_h_simplex", h_step)
     monkeypatch.setattr(deepbnmf.solvers, "update_w_inner", inner_step)
-    return buffers
+    monkeypatch.setattr(deepbnmf.solvers, "eval_objective", objective)
+    return buffers, lists
+
+
+def assert_one_product_list_per_run(lists, runs):
+    """Every layer update of a sweep gets the list that the sweep's objective
+    then refreshes, and each run keeps one list for all its sweeps."""
+    pending = []
+    for kind, V in lists:
+        if kind == "update":
+            pending.append(V)
+        else:
+            assert pending and all(U is V for U in pending)
+            pending = []
+    assert not pending
+    assert len({id(V) for _, V in lists}) == runs  # lists holds every list alive
 
 
 def assert_no_aliasing(state, buffers):
@@ -147,7 +170,7 @@ def assert_no_aliasing(state, buffers):
 @pytest.mark.parametrize("beta", SUPPORTED_BETAS)
 def test_deep_sweeps_share_fresh_products(beta, monkeypatch):
     # The warm start's multilayer sweeps run the same strategy, one layer at a time.
-    buffers = spy_on_kernels(monkeypatch)
+    buffers, lists = spy_on_kernels(monkeypatch)
     X = sparse_chain_data(10090, m=40, n=30, ranks=CHAIN_RANKS)
     if beta == 0.0:
         X = X + 0.01 * X.mean()
@@ -155,39 +178,43 @@ def test_deep_sweeps_share_fresh_products(beta, monkeypatch):
     assert len(trace) == 6
     assert len(buffers) == (4 + 6) * 3 + 2 * 6 * 2  # H steps, then inner W steps
     assert_no_aliasing(state, buffers)
+    assert_one_product_list_per_run(lists, runs=3 + 1)  # three warm layers, then the deep run
 
 
 def test_multilayer_factors_alias_nothing(monkeypatch):
-    buffers = spy_on_kernels(monkeypatch)
+    buffers, lists = spy_on_kernels(monkeypatch)
     X = sparse_chain_data(7063, m=40, n=30, ranks=CHAIN_RANKS)
     state, _ = multilayer_factorize(X, chain_config(1.0))
     assert len(buffers) == 6 * 3
     assert_no_aliasing(state, buffers)
+    assert_one_product_list_per_run(lists, runs=3)
 
 
 def spy_on_minvol(monkeypatch):
     """Check each product, divergence and log-det the min-vol sweeps hand a
     kernel or the objective against a fresh evaluation at the same factors;
-    return the blocks objects made and every product handed out."""
-    made, buffers, expected_bar = [], [], {}
+    return the blocks objects made, every product handed out, and the
+    product list of every min-vol layer update and objective call in order."""
+    made, buffers, lists, expected_bar = [], [], [], {}
     mv = deepbnmf.minvol
     real_init, real_layer = mv.MinvolBlocks.__init__, mv.MinvolBlocks.update_layer
     real_h, real_admm, real_terminal = mv.update_h_plain, mv.admm_solve_w, mv.minvol_terminal_w_step
-    real_objective = mv.eval_objective
+    real_objective = deepbnmf.solvers.eval_objective
 
     def init(self, config):
         real_init(self, config)
         made.append(self)
 
-    def update_layer(self, state, i, lams):
+    def update_layer(self, state, i, lams, V):
+        lists.append(("update", V))
         if i + 1 < state.num_layers:
             expected_bar["W_bar"] = state.W[i + 1] @ state.H[i + 1]
-        return real_layer(self, state, i, lams)
+        return real_layer(self, state, i, lams, V)
 
-    def h_step(W, Y, H_tilde, beta, eps, V):
+    def h_step(W, Y, H_tilde, beta, V):
         assert V is not None and np.array_equal(V, W @ H_tilde)
         buffers.append(V)
-        return real_h(W, Y, H_tilde, beta, eps=eps, V=V)
+        return real_h(W, Y, H_tilde, beta, V=V)
 
     def admm(ctx, ldctx, alpha_ratio, V, **kwargs):
         assert np.array_equal(V, ctx.W_tilde @ ctx.H)
@@ -200,14 +227,19 @@ def spy_on_minvol(monkeypatch):
         buffers.append(V)
         return real_terminal(Y, W_tilde, H, ldctx, alpha_ratio, V=V)
 
-    def objective(state, config, model, products, positive, cached):
+    def objective(state, config, model, products, positive, cached, logdets):
+        if model != "minvol":  # the multilayer warm start
+            return real_objective(state, config, model, products, positive, cached, logdets=logdets)
+        lists.append(("objective", products))
         assert sorted(cached) == list(range(state.num_layers - 1))  # the last is formed here
         for i, (div, ld) in cached.items():
             fresh = state.W[i] @ state.H[i]
             assert np.array_equal(products[i], fresh)
             assert same_bits(div, beta_div_matrix(state.prev_w(i), fresh, 1.0))
             assert same_bits(ld, logdet_gram(state.W[i], config.delta))
-        total, per_layer = real_objective(state, config, model, products, positive, cached)
+        total, per_layer = real_objective(
+            state, config, model, products, positive, cached, logdets=logdets
+        )
         assert all(np.array_equal(V, w @ h) for V, w, h in zip(products, state.W, state.H))
         assert same_bits(total, real_objective(state, config, model)[0])
         buffers.extend(products)
@@ -218,8 +250,8 @@ def spy_on_minvol(monkeypatch):
     monkeypatch.setattr(mv, "update_h_plain", h_step)
     monkeypatch.setattr(mv, "admm_solve_w", admm)
     monkeypatch.setattr(mv, "minvol_terminal_w_step", terminal)
-    monkeypatch.setattr(mv, "eval_objective", objective)
-    return made, buffers
+    monkeypatch.setattr(deepbnmf.solvers, "eval_objective", objective)
+    return made, buffers, lists
 
 
 @pytest.mark.filterwarnings("ignore:.*inner ADMM solves stopped:RuntimeWarning")
@@ -227,7 +259,7 @@ def spy_on_minvol(monkeypatch):
 def test_minvol_sweeps_share_fresh_products(scale, monkeypatch):
     # At scale 1e4 half the ADMM steps are rejected, so both sides of the
     # rejection test hand their product on; at 1 every step is.
-    made, buffers = spy_on_minvol(monkeypatch)
+    made, buffers, lists = spy_on_minvol(monkeypatch)
     X = scale * sparse_chain_data(10090, m=40, n=30, ranks=CHAIN_RANKS)
     layers = [LayerSpec(r, alpha=a) for r, a in zip(CHAIN_RANKS, (0.2, 0.1, 0.05))]
     config = SolverConfig(beta=1.0, layers=layers, max_sweeps=6, warm_start_sweeps=4, seed=2)
@@ -238,3 +270,4 @@ def test_minvol_sweeps_share_fresh_products(scale, monkeypatch):
     # Per sweep: 3 H steps, 2 ADMM solves (2 arrays each), 1 terminal step, 3 products.
     assert len(buffers) == 6 * (3 + 2 * 2 + 1 + 3)
     assert_no_aliasing(state, buffers)
+    assert_one_product_list_per_run(lists, runs=1)

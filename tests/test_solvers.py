@@ -28,13 +28,11 @@ from deepbnmf.solvers import MONOTONICITY_REL_SLACK, deep_factorize, multilayer_
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_30x20.csv"
 
 
-# The modules whose block strategies look up the sweep objective:
-# ``DeepBlocks`` (deep, multilayer and min-vol's warm start) and ``MinvolBlocks``.
-OBJECTIVE_MODULES = (deepbnmf.solvers, deepbnmf.minvol)
-
-
 def rising_objective(monkeypatch):
-    """Make each objective evaluation of the sweep driver exceed the last one."""
+    """Make each objective evaluation of the sweep driver exceed the last one.
+
+    ``run_sweeps`` evaluates the objective of every model, so one patch covers all.
+    """
     real = deepbnmf.model.eval_objective
     calls = []
 
@@ -43,8 +41,7 @@ def rising_objective(monkeypatch):
         calls.append(total)
         return total + 1e3 * len(calls), per_layer
 
-    for module in OBJECTIVE_MODULES:
-        monkeypatch.setattr(module, "eval_objective", rising)
+    monkeypatch.setattr(deepbnmf.solvers, "eval_objective", rising)
     return calls
 
 
@@ -355,11 +352,10 @@ class TestSweepDriver:
         warm, _ = driver_solve(model, X)
         getattr(warm, factor)[index][1, 0] = bad
 
-        def no_sweep(*args):
+        def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep ran on a non-finite warm state")
 
-        for module in OBJECTIVE_MODULES:
-            monkeypatch.setattr(module, "eval_objective", no_sweep)
+        monkeypatch.setattr(deepbnmf.solvers, "eval_objective", no_sweep)
         with pytest.raises(DomainError, match="warm factors must be finite"):
             driver_solve(model, X, warm=warm)
 
@@ -396,7 +392,7 @@ class TestSweepDriver:
         def no_multilayer(*args, **kwargs):
             raise AssertionError("warm_start_sweeps=0 must skip the multilayer run")
 
-        monkeypatch.setattr(deepbnmf.solvers, "_fit_layers", no_multilayer)
+        monkeypatch.setattr(deepbnmf.solvers, "multilayer_factorize", no_multilayer)
         state, trace = driver_solve(model, X, warm_start_sweeps=0)
         init = init_random(X, driver_layers(model), 3, SOLVERS[model][1])
         warm_state, warm_trace = driver_solve(model, X, warm=init)
@@ -426,21 +422,21 @@ class TestSweepDriver:
 
     def test_multilayer_warm_start_gets_run_settings(self, model, monkeypatch):
         # The warm start runs multilayer's layer loop, with no trace.
-        real = deepbnmf.solvers._fit_layers
+        real = deepbnmf.solvers.multilayer_factorize
         seen = []
 
-        def spy(X, config, trace):
-            seen.append((config, trace))
-            return real(X, config, trace)
+        def spy(X, config, traced=True):
+            seen.append((config, traced))
+            return real(X, config, traced=traced)
 
-        monkeypatch.setattr(deepbnmf.solvers, "_fit_layers", spy)
+        monkeypatch.setattr(deepbnmf.solvers, "multilayer_factorize", spy)
         driver_solve(model, driver_data(), rel_obj_tol=1e-4)
-        assert [(c.max_sweeps, c.rel_obj_tol, t) for c, t in seen] == [(4, 1e-4, None)]
+        assert [(c.max_sweeps, c.rel_obj_tol, t) for c, t in seen] == [(4, 1e-4, False)]
 
     def test_warm_start_keeps_no_trace(self, model, monkeypatch):
         # The multilayer warm start forms no log-det, residual or record;
         # multilayer's own trace keeps them (TestMultilayer::test_trace_structure).
-        real_fit = deepbnmf.solvers._fit_layers
+        real_fit = deepbnmf.solvers.multilayer_factorize
         warm_calls, phase = [], ["sweeps"]
 
         def counting(module, name):
@@ -461,14 +457,14 @@ class TestSweepDriver:
         ):
             counting(module, name)
 
-        def fit(X, config, trace):
+        def fit(X, config, traced=True):
             phase[0] = "warm"
             try:
-                return real_fit(X, config, trace)
+                return real_fit(X, config, traced=traced)
             finally:
                 phase[0] = "sweeps"
 
-        monkeypatch.setattr(deepbnmf.solvers, "_fit_layers", fit)
+        monkeypatch.setattr(deepbnmf.solvers, "multilayer_factorize", fit)
         _, trace = driver_solve(model, driver_data())
         assert len(trace) == 6
         assert not [c for c in warm_calls if c[0] == "warm"]
