@@ -8,6 +8,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,6 +21,13 @@ from .minvol import minvol_factorize
 from .solvers import deep_factorize, multilayer_factorize
 
 METHODS = ("multilayer", "deep", "minvol")
+
+# The solver settings of ``factorize``: flag dest (also the manifest key) ->
+# SolverConfig field.  Each flag takes its field's default and type.
+SETTINGS = {"delta": "delta", "rho": "rho", "admm_iters": "admm_max_iter", "admm_tol": "admm_tol",
+            "sweeps": "max_sweeps", "warm_sweeps": "warm_start_sweeps", "seed": "seed",
+            "rel_obj_tol": "rel_obj_tol"}
+SETTING_HELP = {"rel_obj_tol": "early stop on relative objective change (0 disables)"}
 
 
 class UsageError(Exception):
@@ -53,15 +61,11 @@ def _build_parser():
                      help="'auto' or comma-separated per-layer weights")
     fac.add_argument("--alpha", default=None,
                      help="comma-separated per-layer volume weights (minvol)")
-    fac.add_argument("--delta", type=float, default=0.1)
-    fac.add_argument("--rho", type=float, default=100.0)
-    fac.add_argument("--admm-iters", type=int, default=50)
-    fac.add_argument("--admm-tol", type=float, default=1e-6)
-    fac.add_argument("--sweeps", type=int, default=200)
-    fac.add_argument("--warm-sweeps", type=int, default=100)
-    fac.add_argument("--seed", type=int, default=0)
-    fac.add_argument("--rel-obj-tol", type=float, default=0.0,
-                     help="early stop on relative objective change (0 disables)")
+    defaults = {field.name: field.default for field in dataclasses.fields(SolverConfig)}
+    for dest, field in SETTINGS.items():
+        default = defaults[field]
+        fac.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                         help=SETTING_HELP.get(dest))
     fac.add_argument("--timing", action="store_true",
                      help="record wall time in the trace (breaks byte-level "
                           "reproducibility of trace files)")
@@ -129,18 +133,8 @@ def _cmd_factorize(args):
     if args.method == "minvol" and args.beta != 1.0:
         raise UsageError("the minvol method requires beta = 1")
     layers = _resolve_layers(args)
-    config = SolverConfig(
-        beta=args.beta,
-        layers=layers,
-        delta=args.delta,
-        rho=args.rho,
-        admm_max_iter=args.admm_iters,
-        admm_tol=args.admm_tol,
-        max_sweeps=args.sweeps,
-        warm_start_sweeps=args.warm_sweeps,
-        seed=args.seed,
-        rel_obj_tol=args.rel_obj_tol,
-    )
+    settings = {field: getattr(args, dest) for dest, field in SETTINGS.items()}
+    config = SolverConfig(beta=args.beta, layers=layers, **settings)
     X = read_matrix(args.input, args.input_format)
     if args.method == "multilayer":
         state, trace = multilayer_factorize(X, config)
@@ -164,17 +158,10 @@ def _cmd_factorize(args):
         "ranks": ",".join(str(s.rank) for s in layers),
         "lambda": ",".join(f"{v:.17g}" for v in resolved_lams),
         "alpha": ",".join(f"{s.alpha:.17g}" for s in layers),
-        "delta": config.delta,
-        "rho": config.rho,
-        "admm_iters": config.admm_max_iter,
-        "admm_tol": config.admm_tol,
-        "sweeps": config.max_sweeps,
-        "warm_sweeps": config.warm_start_sweeps,
-        "seed": config.seed,
-        "rel_obj_tol": config.rel_obj_tol,
         "timing": args.timing,
         "out": str(out),
     }
+    manifest.update((dest, getattr(config, field)) for dest, field in SETTINGS.items())
     _write_manifest(out / "manifest.txt", manifest)
     print(f"wrote {2 * state.num_layers + 1} factor files and trace to {out}", file=sys.stderr)
     return 0

@@ -37,25 +37,13 @@ from .updates import InnerWContext, epsilon_floor, solve_multipliers, update_h_p
 _COLUMN_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LogDetContext:
-    """Curvature data of the volume penalty linearized at a reference W.
-
-    ``A_plus`` and ``A_minus`` are the positive and negative parts of the
-    inverse of the regularized Gram matrix of the reference; they drive the
-    diagonal quadratic bound used by the closed-form updates.
-    """
-
-    A_plus: np.ndarray
-    A_minus: np.ndarray
-
-
-def build_logdet_context(W_ref: np.ndarray, delta: float) -> LogDetContext:
-    """Curvature data at ``W_ref`` for a positive ``delta`` (not checked)."""
+def build_logdet_context(W_ref: np.ndarray, delta: float) -> np.ndarray:
+    """Curvature of the volume penalty at ``W_ref``: the exactly symmetric
+    inverse A of ``W_ref^T W_ref + delta I``, for a positive ``delta`` (not
+    checked).  ``|A|`` and ``max(-A, 0)`` drive the W steps' quadratic bound."""
     gram = W_ref.T @ W_ref + delta * np.eye(W_ref.shape[1])
     A = np.linalg.inv(gram)
-    A = 0.5 * (A + A.T)
-    return LogDetContext(A_plus=np.maximum(A, 0.0), A_minus=np.maximum(-A, 0.0))
+    return 0.5 * (A + A.T)
 
 
 def simplex_w_cells(W_tilde, C, S, T, mu):
@@ -98,22 +86,30 @@ def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL, start=None):
     return last["w"], mu
 
 
-def _w_step_terms(Y, Wt, H, ldctx: LogDetContext, rho: float, alpha_ratio: float, V=None):
-    """Iteration-invariant pieces of the W step (``V``: ``Wt @ H``, if given)."""
+def _w_step_terms(Y, Wt, H, A, rho: float, alpha_ratio: float, V=None):
+    """Iteration-invariant pieces of the W step, with A from ``build_logdet_context``
+    at ``Wt`` (``V``: ``Wt @ H``, if given); ``|A|`` is the paper's ``A+ + A-``."""
     P = (Y / (Wt @ H if V is None else V)) @ H.T
-    curv = Wt @ (ldctx.A_plus + ldctx.A_minus)
+    curv = Wt @ np.abs(A)
     T = 4.0 * alpha_ratio * curv + 2.0 * rho
     S = 2.0 * T * P
-    C0 = H.sum(axis=1)[None, :] - 4.0 * alpha_ratio * (Wt @ ldctx.A_minus)
+    C0 = H.sum(axis=1)[None, :] - 4.0 * alpha_ratio * (Wt @ np.maximum(-A, 0.0))
     return C0, S, T
 
 
-def minvol_terminal_w_step(Y, W_tilde, H, ldctx: LogDetContext, alpha_ratio: float, V=None):
-    """Last-layer W update: the ADMM W step without its coupling terms (rho = 0);
-    unchecked preconditions: positive factors, chain shapes, ``alpha_ratio > 0``.
-    ``V``, if given, is the product ``W_tilde @ H``."""
-    C, S, T = _w_step_terms(Y, W_tilde, H, ldctx, 0.0, alpha_ratio, V)
-    return _simplex_w_minimize(W_tilde, C, S, T)[0]
+def _floor_columns(W):
+    """W floored at ``MACHINE_EPS`` with its columns renormalized to sum to one."""
+    W = epsilon_floor(W, MACHINE_EPS)
+    return W / W.sum(axis=0, keepdims=True)
+
+
+def minvol_terminal_w_step(Y, W_tilde, H, A, alpha_ratio: float, V=None):
+    """Last-layer W update: the ADMM W step without its coupling terms (rho = 0),
+    floored and column-renormalized like the ADMM's result.  ``A`` is
+    ``build_logdet_context`` at ``W_tilde``; ``V``, if given, is ``W_tilde @ H``.
+    Unchecked preconditions: positive factors, chain shapes, ``alpha_ratio > 0``."""
+    C, S, T = _w_step_terms(Y, W_tilde, H, A, 0.0, alpha_ratio, V)
+    return _floor_columns(_simplex_w_minimize(W_tilde, C, S, T)[0])
 
 
 def z_min_step(W_bar: np.ndarray, V: np.ndarray, nu: float):
@@ -146,12 +142,11 @@ class AdmmRun:
 
 def admm_solve_w(
     ctx: InnerWContext,
-    ldctx: LogDetContext,
+    A: np.ndarray,
     alpha_ratio: float,
-    rho: float = 100.0,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-    eps: float = MACHINE_EPS,
+    rho: float,
+    max_iter: int,
+    tol: float,
     V: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, AdmmRun]:
     """Inner ADMM for an intermediate-layer W of the min-vol model.
@@ -160,13 +155,15 @@ def admm_solve_w(
     and the scaled dual update until the primal residual ||W - Z||_F drops
     below ``tol`` or the iteration budget runs out (then the best iterate is
     returned with ``converged=False``; the outer solver tolerates inexact
-    inner solves).  The returned W is floored and column-renormalized, which
-    absorbs the residual split infeasibility.  Unchecked preconditions:
-    ``ctx`` as documented, and positive ``alpha_ratio`` and ``rho``.  ``V``,
-    if given, is the product ``ctx.W_tilde @ ctx.H``.
+    inner solves).  The returned W is floored at ``MACHINE_EPS`` and
+    column-renormalized, which absorbs the residual split infeasibility.
+    ``A`` is ``build_logdet_context`` at ``ctx.W_tilde``; the caller passes
+    the config's ``rho``, ``admm_max_iter`` and ``admm_tol``.  Unchecked
+    preconditions: ``ctx`` as documented, and positive ``alpha_ratio`` and
+    ``rho``.  ``V``, if given, is the product ``ctx.W_tilde @ ctx.H``.
     """
     nu = rho / ctx.lambda_ratio
-    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio, V)
+    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, A, rho, alpha_ratio, V)
     W = ctx.W_tilde.copy()
     Z = W.copy()
     U = np.zeros_like(W)
@@ -187,10 +184,8 @@ def admm_solve_w(
         if res <= tol:
             converged = True
             break
-    final = epsilon_floor(best_w, eps)
-    final = final / final.sum(axis=0, keepdims=True)
     state = AdmmState(W=W, Z=Z, U=U, iterations=len(residuals), primal_residual=residuals[-1])
-    return final, AdmmRun(state=state, residuals=residuals, converged=converged)
+    return _floor_columns(best_w), AdmmRun(state=state, residuals=residuals, converged=converged)
 
 
 def _w_block_value(W, WH, Y, W_bar, lam, lam_next, alpha, delta):
@@ -233,12 +228,10 @@ class MinvolBlocks:
         target = state.prev_w(i)
         state.H[i] = update_h_plain(state.W[i], target, state.H[i], config.beta, V=V[i])
         WH = np.matmul(state.W[i], state.H[i], out=V[i])
-        ldctx = build_logdet_context(state.W[i], config.delta)
+        A = build_logdet_context(state.W[i], config.delta)
         alpha_ratio = alphas[i] / lams[i]
         if i == state.num_layers - 1:
-            W_new = minvol_terminal_w_step(target, state.W[i], state.H[i], ldctx, alpha_ratio, V=WH)
-            W_new = epsilon_floor(W_new, MACHINE_EPS)
-            state.W[i] = W_new / W_new.sum(axis=0, keepdims=True)
+            state.W[i] = minvol_terminal_w_step(target, state.W[i], state.H[i], A, alpha_ratio, WH)
             return
         ctx = InnerWContext(
             Y=target,
@@ -248,13 +241,8 @@ class MinvolBlocks:
             lambda_ratio=lams[i + 1] / lams[i],
         )
         W_new, run = admm_solve_w(
-            ctx,
-            ldctx,
-            alpha_ratio,
-            rho=config.rho,
-            max_iter=config.admm_max_iter,
-            tol=config.admm_tol,
-            V=WH,
+            ctx, A, alpha_ratio, rho=config.rho, max_iter=config.admm_max_iter,
+            tol=config.admm_tol, V=WH,
         )
         if not run.converged:
             self.stalled_admm += 1

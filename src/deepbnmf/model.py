@@ -219,8 +219,6 @@ def init_random(
     makes the state a pure function of the seed.
     """
     X = check_data(X)
-    if constraint not in (ROW_SIMPLEX_H, COLUMN_SIMPLEX_W):
-        raise ConfigError(f"unknown constraint {constraint!r}")
     m, n = X.shape
     check_ranks(n, layers)
     rng = np.random.default_rng(seed)
@@ -281,9 +279,7 @@ def logdet_gram(W: np.ndarray, delta: float) -> float:
 @dataclass(frozen=True)
 class LayerObjective:
     divergence: float
-    weighted_divergence: float
     logdet: float
-    weighted_logdet: float
 
 
 def eval_objective(
@@ -295,7 +291,7 @@ def eval_objective(
     cached: Optional[dict] = None,
     logdets: bool = True,
 ):
-    """Total objective and per-layer terms for either deep NMF model.
+    """Total objective and the unweighted per-layer terms of either deep NMF model.
 
     Plain: sum of lam_l * D_beta(W_{l-1}, W_l H_l).  Min-vol adds
     alpha_l * logdet(W_l^T W_l + delta I) per layer and is defined for the
@@ -334,16 +330,8 @@ def eval_objective(
                     positive=positive if i == 0 else None,
                 )
             ld = logdet_gram(state.W[i], config.delta) if logdets or model == "minvol" else np.nan
-        weighted_ld = alphas[i] * ld if model == "minvol" else 0.0
-        per_layer.append(
-            LayerObjective(
-                divergence=div,
-                weighted_divergence=lams[i] * div,
-                logdet=ld,
-                weighted_logdet=weighted_ld,
-            )
-        )
-        total += lams[i] * div + weighted_ld
+        per_layer.append(LayerObjective(divergence=div, logdet=ld))
+        total += lams[i] * div + (alphas[i] * ld if model == "minvol" else 0.0)
     return total, per_layer
 
 
@@ -352,10 +340,8 @@ def simplex_residual(state: DeepState, constraint: Constraint) -> float:
     NaN if a sum is NaN (``np.max`` keeps it, where Python's ``max`` may not)."""
     if constraint == ROW_SIMPLEX_H:
         sums = [h.sum(axis=1) for h in state.H]
-    elif constraint == COLUMN_SIMPLEX_W:
-        sums = [w.sum(axis=0) for w in state.W]
     else:
-        raise ConfigError(f"unknown constraint {constraint!r}")
+        sums = [w.sum(axis=0) for w in state.W]
     return float(np.max([0.0] + [np.abs(s - 1.0).max() for s in sums]))
 
 

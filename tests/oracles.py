@@ -20,7 +20,6 @@ import numpy as np
 
 from deepbnmf.divergence import INFINITE_DIVERGENCE, check_beta
 from deepbnmf.errors import ConfigError, DimensionError, DomainError
-from deepbnmf.minvol import LogDetContext
 from deepbnmf.model import logdet_gram
 
 
@@ -357,15 +356,14 @@ def w_fit_majorizer_value(Y, W, W_tilde, H, beta) -> float:
 
 
 def logdet_majorizer(
-    W: np.ndarray, ctx: LogDetContext, W_ref: np.ndarray, delta: float
+    W: np.ndarray, A: np.ndarray, W_ref: np.ndarray, delta: float
 ) -> float:
     """Separable quadratic upper bound of logdet(W^T W + delta I), tight at W_ref.
 
-    ``ctx`` is built from W_ref and delta; A = A+ - A- is the inverse of the
+    ``A = build_logdet_context(W_ref, delta)`` is the inverse of the
     regularized Gram matrix.  Row i contributes its linearization at the
-    reference row plus a diagonal quadratic with weights
-    2 (A+ + A-) w_ref / w_ref, which dominates the true curvature for
-    strictly positive references.
+    reference row plus a diagonal quadratic with weights 2 |A| w_ref / w_ref,
+    which dominates the true curvature for strictly positive references.
     """
     if W.shape != W_ref.shape:
         raise DimensionError("W and W_ref must have equal shapes")
@@ -373,6 +371,6 @@ def logdet_majorizer(
         raise ValueError("the majorizer reference must be entrywise positive")
     base = logdet_gram(W_ref, delta)
     diff = W - W_ref
-    grad = 2.0 * W_ref @ (ctx.A_plus - ctx.A_minus)
-    curv = 2.0 * (W_ref @ (ctx.A_plus + ctx.A_minus)) / W_ref
+    grad = 2.0 * W_ref @ A
+    curv = 2.0 * (W_ref @ np.abs(A)) / W_ref
     return float(base + np.sum(grad * diff) + 0.5 * np.sum(curv * diff * diff))

@@ -206,10 +206,10 @@ def test_criterion_06_majorizer_suite():
         )
         assert report.passed, f"beta={beta}: {report}"
     W_ref = rng.uniform(0.1, 1.0, (5, 3))
-    ld = build_logdet_context(W_ref, 0.1)
+    A = build_logdet_context(W_ref, 0.1)
     report = check_majorizer(
         f=lambda M: logdet_gram(M, 0.1),
-        u=lambda M, ref: logdet_majorizer(M, ld, ref, 0.1),
+        u=lambda M, ref: logdet_majorizer(M, A, ref, 0.1),
         x_ref=W_ref,
         samples=200,
         seed=99,

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,8 +6,21 @@ import pytest
 
 from deepbnmf.cli import run_command
 from deepbnmf.dataio import read_matrix, write_matrix
+from deepbnmf.model import SolverConfig
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_30x20.csv"
+
+# Manifest key of each factorize setting flag -> the SolverConfig field it sets.
+SETTING_FIELDS = {
+    "delta": "delta", "rho": "rho", "admm_iters": "admm_max_iter", "admm_tol": "admm_tol",
+    "sweeps": "max_sweeps", "warm_sweeps": "warm_start_sweeps", "seed": "seed",
+    "rel_obj_tol": "rel_obj_tol",
+}
+
+
+def manifest_entries(out):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
 
 
 def factorize_args(out, extra=()):
@@ -38,15 +52,42 @@ class TestFactorize:
         assert len(trace_lines) == 51
 
     def test_manifest_lists_resolved_defaults(self, tmp_path):
+        # No setting flag given: every setting is SolverConfig's own default.
         out = tmp_path / "run"
-        assert run_command(factorize_args(out)) == 0
-        manifest = (out / "manifest.txt").read_text()
-        for key in ("rho = 100.0", "admm_tol = 1e-06", "delta = 0.1", "seed = 1"):
-            assert key in manifest, key
-        assert "eps_floor" not in manifest  # the factor floor is a constant
-        lam_line = [l for l in manifest.splitlines() if l.startswith("lambda = ")][0]
-        values = [float(v) for v in lam_line.split(" = ")[1].split(",")]
+        args = ["factorize", "--input", str(DATA), "--method", "multilayer",
+                "--ranks", "8,4", "--out", str(out)]
+        assert run_command(args) == 0
+        entries = manifest_entries(out)
+        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        for key, field in SETTING_FIELDS.items():
+            assert entries[key] == str(defaults[field]), key
+        assert "eps_floor" not in entries  # the factor floor is a constant
+        values = [float(v) for v in entries["lambda"].split(",")]
         assert len(values) == 2 and all(v > 0 for v in values)
+
+    def test_setting_flags_reach_the_manifest(self, tmp_path):
+        # Distinct non-default values, so a flag wired to the wrong field shows.
+        values = {"delta": "0.25", "rho": "7.5", "admm_iters": "9", "admm_tol": "3e-05",
+                  "sweeps": "4", "warm_sweeps": "3", "seed": "11", "rel_obj_tol": "2e-09"}
+        defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        out = tmp_path / "run"
+        args = ["factorize", "--input", str(DATA), "--method", "deep", "--ranks", "8,4",
+                "--out", str(out)]
+        for key, value in values.items():
+            assert type(defaults[SETTING_FIELDS[key]])(value) != defaults[SETTING_FIELDS[key]]
+            args += ["--" + key.replace("_", "-"), value]
+        assert run_command(args) == 0
+        entries = manifest_entries(out)
+        for key, value in values.items():
+            assert entries[key] == value, key
+        assert len((out / "trace.csv").read_text().strip().splitlines()) == 1 + 4
+
+    def test_help_lists_setting_flags(self, capsys):
+        assert run_command(["factorize", "--help"]) == 0
+        text = capsys.readouterr().out
+        for key in SETTING_FIELDS:
+            assert "--" + key.replace("_", "-") in text, key
+        assert "early stop on relative objective change (0 disables)" in text
 
     def test_minvol_beta_validation(self, tmp_path, capsys):
         args = factorize_args(tmp_path / "x")

@@ -17,7 +17,7 @@ from deepbnmf.minvol import (
     simplex_w_cells,
     z_min_step,
 )
-from deepbnmf.model import LayerSpec, SolverConfig, logdet_gram
+from deepbnmf.model import MACHINE_EPS, LayerSpec, SolverConfig, logdet_gram
 from deepbnmf.updates import InnerWContext
 from oracles import (
     brute_force_scalar_min,
@@ -38,18 +38,29 @@ def column_simplex_instance(seed, m=6, r=3, p=8):
     return W, H, Y, W_bar
 
 
-def admm_w_step(ctx, ldctx, Z, U, rho, alpha_ratio):
+def admm_w_step(ctx, A, Z, U, rho, alpha_ratio):
     """One W minimization of the ADMM: fit majorizer + volume bound + penalty."""
-    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, ldctx, rho, alpha_ratio)
+    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, A, rho, alpha_ratio)
     return _simplex_w_minimize(ctx.W_tilde, C0 - rho * (Z - U), S, T)[0]
+
+
+class TestLogdetContext:
+    def test_symmetric_inverse_of_regularized_gram(self):
+        rng = np.random.default_rng(1)
+        for shape, delta in (((5, 3), 0.1), ((20, 4), 1e-3), ((8, 2), 10.0)):
+            W = rng.uniform(0.05, 1.0, shape)
+            A = build_logdet_context(W, delta)
+            assert np.array_equal(A, A.T)
+            gram = W.T @ W + delta * np.eye(shape[1])
+            assert np.abs(A @ gram - np.eye(shape[1])).max() <= 1e-12
 
 
 class TestLogdetMajorizer:
     def test_tangency(self):
         rng = np.random.default_rng(0)
         W = rng.uniform(0.1, 1.0, (5, 3))
-        ctx = build_logdet_context(W, 0.1)
-        assert logdet_majorizer(W, ctx, W, 0.1) == pytest.approx(
+        A = build_logdet_context(W, 0.1)
+        assert logdet_majorizer(W, A, W, 0.1) == pytest.approx(
             logdet_gram(W, 0.1), abs=1e-10
         )
 
@@ -58,26 +69,26 @@ class TestLogdetMajorizer:
         # curvature term cannot divide by; a floored identity embedding is
         # orthonormal to within the floor.
         W = np.maximum(np.vstack([np.eye(3), np.zeros((2, 3))]), 1e-9)
-        ctx = build_logdet_context(W, 0.1)
-        val = logdet_majorizer(W, ctx, W, 0.1)
+        A = build_logdet_context(W, 0.1)
+        val = logdet_majorizer(W, A, W, 0.1)
         assert val == pytest.approx(logdet_gram(W, 0.1), abs=1e-10)
         assert val == pytest.approx(3.0 * np.log(1.1), abs=1e-6)
 
     def test_domination_random(self):
         rng = np.random.default_rng(2)
         W_ref = rng.uniform(0.1, 1.0, (5, 3))
-        ctx = build_logdet_context(W_ref, 0.1)
+        A = build_logdet_context(W_ref, 0.1)
         for _ in range(50):
             W = W_ref * rng.uniform(0.3, 1.8, size=W_ref.shape)
-            assert logdet_majorizer(W, ctx, W_ref, 0.1) >= logdet_gram(W, 0.1) - 1e-9
+            assert logdet_majorizer(W, A, W_ref, 0.1) >= logdet_gram(W, 0.1) - 1e-9
 
     def test_check_majorizer_harness(self):
         rng = np.random.default_rng(3)
         W_ref = rng.uniform(0.1, 1.0, (5, 3))
-        ctx = build_logdet_context(W_ref, 0.1)
+        A = build_logdet_context(W_ref, 0.1)
         report = check_majorizer(
             f=lambda W: logdet_gram(W, 0.1),
-            u=lambda W, R: logdet_majorizer(W, ctx, R, 0.1),
+            u=lambda W, R: logdet_majorizer(W, A, R, 0.1),
             x_ref=W_ref,
             samples=200,
             seed=5,
@@ -87,9 +98,9 @@ class TestLogdetMajorizer:
     def test_zero_reference_rejected(self):
         W = np.ones((4, 2))
         W[0, 0] = 0.0
-        ctx = build_logdet_context(np.ones((4, 2)), 0.1)
+        A = build_logdet_context(np.ones((4, 2)), 0.1)
         with pytest.raises(ValueError):
-            logdet_majorizer(np.ones((4, 2)), ctx, W, 0.1)
+            logdet_majorizer(np.ones((4, 2)), A, W, 0.1)
 
 
 class TestSimplexWCells:
@@ -121,10 +132,10 @@ class TestAdmmWStep:
     def test_columns_sum_to_one(self):
         W, H, Y, _ = column_simplex_instance(5)
         ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W, lambda_ratio=1.0)
-        ld = build_logdet_context(W, 0.1)
+        A = build_logdet_context(W, 0.1)
         Z = W.copy()
         U = np.zeros_like(W)
-        out = admm_w_step(ctx, ld, Z, U, rho=100.0, alpha_ratio=0.5)
+        out = admm_w_step(ctx, A, Z, U, rho=100.0, alpha_ratio=0.5)
         assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-9
         assert np.all(out >= 0)
 
@@ -134,9 +145,9 @@ class TestAdmmWStep:
         # reduces to column-normalizing the update numerator.
         W, H, Y, _ = column_simplex_instance(6)
         ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W, lambda_ratio=1.0)
-        ld = build_logdet_context(W, 0.1)
+        A = build_logdet_context(W, 0.1)
         tiny = 1e-10
-        out = admm_w_step(ctx, ld, W.copy(), np.zeros_like(W), rho=tiny, alpha_ratio=tiny)
+        out = admm_w_step(ctx, A, W.copy(), np.zeros_like(W), rho=tiny, alpha_ratio=tiny)
         numer = W * ((Y / (W @ H)) @ H.T)
         expected = numer / numer.sum(axis=0, keepdims=True)
         assert np.max(np.abs(out - expected)) <= 1e-4
@@ -187,8 +198,8 @@ class TestAdmmSolve:
     def test_converges_and_reports_residuals(self):
         W, H, Y, W_bar = column_simplex_instance(9)
         ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W_bar, lambda_ratio=1.0)
-        ld = build_logdet_context(W, 0.1)
-        out, run = admm_solve_w(ctx, ld, alpha_ratio=0.3, rho=5.0, max_iter=50, tol=1e-6)
+        A = build_logdet_context(W, 0.1)
+        out, run = admm_solve_w(ctx, A, alpha_ratio=0.3, rho=5.0, max_iter=50, tol=1e-6)
         assert isinstance(run, AdmmRun)
         assert run.converged
         assert run.state.iterations <= 50
@@ -200,9 +211,9 @@ class TestAdmmSolve:
         # One iteration from Z = W, U = 0 must match the hand-rolled steps.
         W, H, Y, W_bar = column_simplex_instance(10)
         ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W_bar, lambda_ratio=2.0)
-        ld = build_logdet_context(W, 0.1)
-        _, run = admm_solve_w(ctx, ld, alpha_ratio=0.4, rho=7.0, max_iter=1, tol=0.0 + 1e-300)
-        W1 = admm_w_step(ctx, ld, W.copy(), np.zeros_like(W), 7.0, 0.4)
+        A = build_logdet_context(W, 0.1)
+        _, run = admm_solve_w(ctx, A, alpha_ratio=0.4, rho=7.0, max_iter=1, tol=0.0 + 1e-300)
+        W1 = admm_w_step(ctx, A, W.copy(), np.zeros_like(W), 7.0, 0.4)
         Z1 = z_min_step(W_bar, W1 + 0.0, 7.0 / 2.0)
         assert np.array_equal(run.state.W, W1)
         assert np.array_equal(run.state.Z, Z1)
@@ -211,9 +222,9 @@ class TestAdmmSolve:
     def test_deterministic(self):
         W, H, Y, W_bar = column_simplex_instance(11)
         ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W_bar, lambda_ratio=1.5)
-        ld = build_logdet_context(W, 0.1)
-        out_a, run_a = admm_solve_w(ctx, ld, alpha_ratio=0.2, rho=10.0, max_iter=40, tol=1e-8)
-        out_b, run_b = admm_solve_w(ctx, ld, alpha_ratio=0.2, rho=10.0, max_iter=40, tol=1e-8)
+        A = build_logdet_context(W, 0.1)
+        out_a, run_a = admm_solve_w(ctx, A, alpha_ratio=0.2, rho=10.0, max_iter=40, tol=1e-8)
+        out_b, run_b = admm_solve_w(ctx, A, alpha_ratio=0.2, rho=10.0, max_iter=40, tol=1e-8)
         assert np.array_equal(out_a, out_b)
         assert run_a.residuals == run_b.residuals
 
@@ -226,7 +237,7 @@ class TestAdmmSolve:
 
         W, H, Y, W_bar = column_simplex_instance(12, m=20, r=3, p=40)
         ctx = InnerWContext(Y=1e4 * Y, W_tilde=W, H=1e4 * H, W_bar=W_bar, lambda_ratio=1.0)
-        ld = build_logdet_context(W, 0.1)
+        A = build_logdet_context(W, 0.1)
         solve = minvol._simplex_w_minimize
         starts, returned = [], []
 
@@ -237,7 +248,7 @@ class TestAdmmSolve:
             return W_step, mu
 
         monkeypatch.setattr(minvol, "_simplex_w_minimize", recording)
-        warm, run = admm_solve_w(ctx, ld, alpha_ratio=0.5, rho=100.0, max_iter=50, tol=1e-6)
+        warm, run = admm_solve_w(ctx, A, alpha_ratio=0.5, rho=100.0, max_iter=50, tol=1e-6)
         assert run.state.iterations == len(starts) > 1
         assert starts[0] is None
         assert all(a is b for a, b in zip(starts[1:], returned))
@@ -246,7 +257,7 @@ class TestAdmmSolve:
         monkeypatch.setattr(
             minvol, "_simplex_w_minimize", lambda *args, start=None, **kwargs: solve(*args, **kwargs)
         )
-        cold, _ = admm_solve_w(ctx, ld, alpha_ratio=0.5, rho=100.0, max_iter=50, tol=1e-6)
+        cold, _ = admm_solve_w(ctx, A, alpha_ratio=0.5, rho=100.0, max_iter=50, tol=1e-6)
         assert np.abs(warm - cold).max() <= 1e-10
         assert np.abs(warm.sum(axis=0) - 1.0).max() <= 1e-12
 
@@ -254,8 +265,8 @@ class TestAdmmSolve:
 class TestTerminalStep:
     def test_columns_sum_to_one_and_descend(self):
         W, H, Y, _ = column_simplex_instance(12)
-        ld = build_logdet_context(W, 0.1)
-        out = minvol_terminal_w_step(Y, W, H, ld, alpha_ratio=0.5)
+        A = build_logdet_context(W, 0.1)
+        out = minvol_terminal_w_step(Y, W, H, A, alpha_ratio=0.5)
         assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-10
 
         def block(Wm):
@@ -263,19 +274,37 @@ class TestTerminalStep:
 
         assert block(out) <= block(W) + 1e-10 * max(1.0, abs(block(W)))
 
+    def test_floors_sub_epsilon_entries(self):
+        # A W~ entry at the floor whose data row is small: the simplex
+        # minimizer takes that entry far below MACHINE_EPS, and the step
+        # floors it and renormalizes the column itself.  The renormalization
+        # divides by a column sum up to 1 + 1e-12 (the multiplier tolerance),
+        # so a floored entry may end up to 1e-12 relative below MACHINE_EPS.
+        for seed in range(3):
+            W, H, Y, _ = column_simplex_instance(40 + seed)
+            W[0, 0] = MACHINE_EPS
+            W /= W.sum(axis=0, keepdims=True)
+            Y[0, :] = 1e-3
+            A = build_logdet_context(W, 0.1)
+            C, S, T = _w_step_terms(Y, W, H, A, 0.0, 0.5)
+            assert _simplex_w_minimize(W, C, S, T)[0].min() < 1e-2 * MACHINE_EPS
+            out = minvol_terminal_w_step(Y, W, H, A, alpha_ratio=0.5)
+            assert out.min() >= MACHINE_EPS * (1.0 - 1e-12)
+            assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-15
+
     def test_minimizes_its_surrogate(self):
         # The surrogate is the KL fit majorizer plus alpha_ratio times the
         # log-det majorizer, both anchored at W; it separates by column, so
         # each column of the step must be that column's simplex minimizer.
         for seed in range(5):
             W, H, Y, _ = column_simplex_instance(20 + seed, m=4, r=2, p=6)
-            ld = build_logdet_context(W, 0.1)
-            out = minvol_terminal_w_step(Y, W, H, ld, alpha_ratio=0.5)
+            A = build_logdet_context(W, 0.1)
+            out = minvol_terminal_w_step(Y, W, H, A, alpha_ratio=0.5)
 
             def surrogate(Wm):
                 return (
                     w_fit_majorizer_value(Y, Wm, W, H, 1.0)
-                    + 0.5 * logdet_majorizer(Wm, ld, W, 0.1)
+                    + 0.5 * logdet_majorizer(Wm, A, W, 0.1)
                 )
 
             anchor = surrogate(W)
@@ -305,13 +334,13 @@ def test_admm_descends_its_surrogate():
     for seed in range(5):
         W, H, Y, W_bar = column_simplex_instance(30 + seed, m=4, r=2, p=6)
         ctx = InnerWContext(Y=Y, W_tilde=W, H=H, W_bar=W_bar, lambda_ratio=0.8)
-        ld = build_logdet_context(W, 0.1)
-        out, _ = admm_solve_w(ctx, ld, alpha_ratio=0.5, tol=1e-12)
+        A = build_logdet_context(W, 0.1)
+        out, _ = admm_solve_w(ctx, A, alpha_ratio=0.5, rho=100.0, max_iter=50, tol=1e-12)
 
         def surrogate(Wm):
             return (
                 w_fit_majorizer_value(Y, Wm, W, H, 1.0)
-                + 0.5 * logdet_majorizer(Wm, ld, W, 0.1)
+                + 0.5 * logdet_majorizer(Wm, A, W, 0.1)
                 + 0.8 * beta_div_matrix(Wm, W_bar, 1.0)
             )
 

@@ -116,7 +116,7 @@ class TestEvalObjective:
             state.W[0], state.W[1] @ state.H[1], 1.0
         )
         assert total == pytest.approx(expected, rel=1e-12)
-        assert per_layer[0].weighted_divergence == per_layer[0].divergence
+        assert total == sum(lam * t.divergence for lam, t in zip(cfg.lambdas(), per_layer))
 
     def test_plain_reports_unweighted_logdet(self):
         rng = np.random.default_rng(8)
@@ -127,8 +127,7 @@ class TestEvalObjective:
         total, per_layer = eval_objective(state, cfg, "plain")
         for w, term in zip(state.W, per_layer):
             assert term.logdet == logdet_gram(w, 0.2)
-            assert term.weighted_logdet == 0.0
-        assert total == sum(t.weighted_divergence for t in per_layer)
+        assert total == sum(lam * t.divergence for lam, t in zip(cfg.lambdas(), per_layer))
 
     def test_minvol_identity_logdet(self):
         # Exact chain built on W2 = [I2; 0]: all divergence terms vanish, so

@@ -216,16 +216,16 @@ def spy_on_minvol(monkeypatch):
         buffers.append(V)
         return real_h(W, Y, H_tilde, beta, V=V)
 
-    def admm(ctx, ldctx, alpha_ratio, V, **kwargs):
+    def admm(ctx, A, alpha_ratio, V, **kwargs):
         assert np.array_equal(V, ctx.W_tilde @ ctx.H)
         assert np.array_equal(ctx.W_bar, expected_bar.pop("W_bar"))
         buffers.extend((V, ctx.W_bar))
-        return real_admm(ctx, ldctx, alpha_ratio, V=V, **kwargs)
+        return real_admm(ctx, A, alpha_ratio, V=V, **kwargs)
 
-    def terminal(Y, W_tilde, H, ldctx, alpha_ratio, V):
+    def terminal(Y, W_tilde, H, A, alpha_ratio, V):
         assert np.array_equal(V, W_tilde @ H)
         buffers.append(V)
-        return real_terminal(Y, W_tilde, H, ldctx, alpha_ratio, V=V)
+        return real_terminal(Y, W_tilde, H, A, alpha_ratio, V=V)
 
     def objective(state, config, model, products, positive, cached, logdets):
         if model != "minvol":  # the multilayer warm start
