@@ -86,10 +86,12 @@ def _simplex_w_minimize(W_tilde, C, S, T, tol=_COLUMN_SUM_TOL, start=None):
     return last["w"], mu
 
 
-def _w_step_terms(Y, Wt, H, A, rho: float, alpha_ratio: float, V=None):
+def _w_step_terms(Y, Wt, H, A, rho: float, alpha_ratio: float, V=None, work=None):
     """Iteration-invariant pieces of the W step, with A from ``build_logdet_context``
-    at ``Wt`` (``V``: ``Wt @ H``, if given); ``|A|`` is the paper's ``A+ + A-``."""
-    P = (Y / (Wt @ H if V is None else V)) @ H.T
+    at ``Wt``; ``|A|`` is the paper's ``A+ + A-``.  ``V``, if given, is
+    ``Wt @ H`` and is only read; the quotient ``Y / V`` goes into ``work``, a
+    float array of Y's shape, if given (else it is allocated)."""
+    P = np.divide(Y, Wt @ H if V is None else V, out=work) @ H.T
     curv = Wt @ np.abs(A)
     T = 4.0 * alpha_ratio * curv + 2.0 * rho
     S = 2.0 * T * P
@@ -103,12 +105,13 @@ def _floor_columns(W):
     return W / W.sum(axis=0, keepdims=True)
 
 
-def minvol_terminal_w_step(Y, W_tilde, H, A, alpha_ratio: float, V=None):
+def minvol_terminal_w_step(Y, W_tilde, H, A, alpha_ratio: float, V=None, work=None):
     """Last-layer W update: the ADMM W step without its coupling terms (rho = 0),
     floored and column-renormalized like the ADMM's result.  ``A`` is
-    ``build_logdet_context`` at ``W_tilde``; ``V``, if given, is ``W_tilde @ H``.
-    Unchecked preconditions: positive factors, chain shapes, ``alpha_ratio > 0``."""
-    C, S, T = _w_step_terms(Y, W_tilde, H, A, 0.0, alpha_ratio, V)
+    ``build_logdet_context`` at ``W_tilde``; ``V`` and ``work`` are as for
+    ``_w_step_terms``.  Unchecked preconditions: positive factors, chain
+    shapes, ``alpha_ratio > 0``."""
+    C, S, T = _w_step_terms(Y, W_tilde, H, A, 0.0, alpha_ratio, V, work)
     return _floor_columns(_simplex_w_minimize(W_tilde, C, S, T)[0])
 
 
@@ -148,6 +151,7 @@ def admm_solve_w(
     max_iter: int,
     tol: float,
     V: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, AdmmRun]:
     """Inner ADMM for an intermediate-layer W of the min-vol model.
 
@@ -160,10 +164,10 @@ def admm_solve_w(
     ``A`` is ``build_logdet_context`` at ``ctx.W_tilde``; the caller passes
     the config's ``rho``, ``admm_max_iter`` and ``admm_tol``.  Unchecked
     preconditions: ``ctx`` as documented, and positive ``alpha_ratio`` and
-    ``rho``.  ``V``, if given, is the product ``ctx.W_tilde @ ctx.H``.
+    ``rho``.  ``V`` and ``work`` are as for ``_w_step_terms``.
     """
     nu = rho / ctx.lambda_ratio
-    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, A, rho, alpha_ratio, V)
+    C0, S, T = _w_step_terms(ctx.Y, ctx.W_tilde, ctx.H, A, rho, alpha_ratio, V, work)
     W = ctx.W_tilde.copy()
     Z = W.copy()
     U = np.zeros_like(W)
@@ -188,10 +192,13 @@ def admm_solve_w(
     return _floor_columns(best_w), AdmmRun(state=state, residuals=residuals, converged=converged)
 
 
-def _w_block_value(W, WH, Y, W_bar, lam, lam_next, alpha, delta):
+def _w_block_value(W, WH, Y, W_bar, lam, lam_next, alpha, delta, out=None, positive=None):
     """All objective terms that depend on one intermediate-layer W, given
-    ``WH = W @ H``: their sum, and the layer's divergence and log-det."""
-    fit = beta_div_matrix(Y, WH, 1.0)
+    ``WH = W @ H``: their sum, and the layer's divergence and log-det.
+    With ``out``, a float array of Y's shape, the fit takes the solvers' path
+    of ``beta_div_matrix`` (its cells go into ``out``, ``positive`` is the
+    mask ``Y > 0`` or None if Y has no zero); the values are the same."""
+    fit = beta_div_matrix(Y, WH, 1.0, out=out, positive=positive)
     value = lam * fit
     value += lam_next * beta_div_matrix(W, W_bar, 1.0)
     logdet = logdet_gram(W, delta)
@@ -207,14 +214,22 @@ class MinvolBlocks:
     that stopped at the iteration cap and the steps rejected as non-descent.
 
     ``update_layer`` reads the driver's products ``V[l] = W_l H_l``: layer
-    l's H-step product and layer l-1's ``W_bar``.  After the H step ``V[l]``
-    holds ``W~ H`` for the W step and its rejection test; the accepted side's
-    product goes into ``V``, and its divergence and log-det into ``cached``,
-    so the objective forms only the last layer's.
+    l's H-step product and layer l-1's ``W_bar``.  Every X-sized
+    intermediate goes into an array that lasts the run: ``V[l]`` or the
+    driver's pair of work arrays ``work[l]``.  The H step writes its powers
+    of ``V[l]`` over it; then ``V[l]`` takes ``W~ H``, which the W step and
+    its rejection test read.  The W step's
+    quotient ``Y / V`` and both fits of the rejection test go into the first
+    work array, on the solvers' path of ``beta_div_matrix`` with the run's
+    mask ``X > 0`` at layer 1, and the candidate product into the second,
+    which an accepted step swaps with ``V[l]``.  The accepted side's
+    divergence and log-det go into ``cached``, so the objective forms only
+    the last layer's.
     """
 
     constraint = COLUMN_SIMPLEX_W
     model = "minvol"
+    takes_work = True
 
     def __init__(self, config: SolverConfig):
         self.config = config
@@ -223,15 +238,18 @@ class MinvolBlocks:
         self.rejected_steps = 0
         self.cached = {}  # layer -> (divergence, logdet) of its accepted side
 
-    def update_layer(self, state: DeepState, i: int, lams, V: List[np.ndarray]):
+    def update_layer(self, state: DeepState, i: int, lams, V: List[np.ndarray], work, positive):
         config, alphas = self.config, self.alphas
         target = state.prev_w(i)
+        scratch, spare = work[i]
         state.H[i] = update_h_plain(state.W[i], target, state.H[i], config.beta, V=V[i])
         WH = np.matmul(state.W[i], state.H[i], out=V[i])
         A = build_logdet_context(state.W[i], config.delta)
         alpha_ratio = alphas[i] / lams[i]
         if i == state.num_layers - 1:
-            state.W[i] = minvol_terminal_w_step(target, state.W[i], state.H[i], A, alpha_ratio, WH)
+            state.W[i] = minvol_terminal_w_step(
+                target, state.W[i], state.H[i], A, alpha_ratio, V=WH, work=scratch
+            )
             return
         ctx = InnerWContext(
             Y=target,
@@ -242,19 +260,21 @@ class MinvolBlocks:
         )
         W_new, run = admm_solve_w(
             ctx, A, alpha_ratio, rho=config.rho, max_iter=config.admm_max_iter,
-            tol=config.admm_tol, V=WH,
+            tol=config.admm_tol, V=WH, work=scratch,
         )
         if not run.converged:
             self.stalled_admm += 1
         # A truncated ADMM can return a worse point than the current iterate
         # (its iterates are not monotone in the subproblem objective); reject
         # such steps to keep the outer sweep a descent method.
-        weights = (lams[i], lams[i + 1], alphas[i], config.delta)
+        mask = positive if i == 0 else None
+        weights = (lams[i], lams[i + 1], alphas[i], config.delta, scratch, mask)
         before, terms = _w_block_value(state.W[i], WH, target, ctx.W_bar, *weights)
-        WH_new = W_new @ state.H[i]
+        WH_new = np.matmul(W_new, state.H[i], out=spare)
         after, new_terms = _w_block_value(W_new, WH_new, target, ctx.W_bar, *weights)
         if after <= before + 1e-12 * max(1.0, abs(before)):
-            state.W[i], V[i], terms = W_new, WH_new, new_terms
+            state.W[i], terms = W_new, new_terms
+            V[i], work[i] = WH_new, (scratch, WH)
         else:
             self.rejected_steps += 1
         self.cached[i] = terms

@@ -290,6 +290,7 @@ def eval_objective(
     positive: Optional[np.ndarray] = None,
     cached: Optional[dict] = None,
     logdets: bool = True,
+    work: Optional[list] = None,
 ):
     """Total objective and the unweighted per-layer terms of either deep NMF model.
 
@@ -305,9 +306,10 @@ def eval_objective(
     each product is computed into its array, and the divergence takes the
     solvers' path of ``beta_div_matrix``, with ``positive`` as layer 1's
     mask ``X > 0`` (None if X has no zero; deeper targets are floored W).
-    The values are the same.  ``cached`` maps a layer to the
-    ``(divergence, logdet)`` the caller evaluated at the current factors,
-    its product already in ``products``.  ``logdets=False`` leaves the plain
+    Its cells go into the pair of arrays ``work[l]`` if ``work`` is given,
+    else into a fresh array.  The values are the same.  ``cached`` maps a
+    layer to the ``(divergence, logdet)`` the caller evaluated at the
+    current factors, its product already in ``products``.  ``logdets=False`` leaves the plain
     model's diagnostic log-dets out (NaN), for when nothing reads them; the
     min-vol log-dets are terms of its objective and are always formed.
     """
@@ -323,11 +325,12 @@ def eval_objective(
                 div = beta_div_matrix(state.prev_w(i), state.W[i] @ state.H[i], config.beta)
             else:
                 V = np.matmul(state.W[i], state.H[i], out=products[i])
-                # A fresh work array: held beside each product, a second one
-                # raised the peak memory of the deep sweeps (README).
+                # Deep KL runs hold no work arrays: one held beside each
+                # product raised the peak memory of its sweeps (README).
+                out, second = (np.empty_like(V), None) if work is None else work[i]
                 div = beta_div_matrix(
-                    state.prev_w(i), V, config.beta, out=np.empty_like(V),
-                    positive=positive if i == 0 else None,
+                    state.prev_w(i), V, config.beta, out=out,
+                    positive=positive if i == 0 else None, work=second,
                 )
             ld = logdet_gram(state.W[i], config.delta) if logdets or model == "minvol" else np.nan
         per_layer.append(LayerObjective(divergence=div, logdet=ld))

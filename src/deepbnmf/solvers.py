@@ -127,8 +127,11 @@ class DeepBlocks:
     products ``V[l] = W_l H_l``, which each objective evaluation refreshes in
     place.  In the next sweep ``V[l]`` is the ``W_bar`` of layer l-1's W step
     and then layer l's H step's ``W H~``, bit for bit the product those steps
-    used to form; that H step writes its quotient over it, and layer l's W
-    step its own product.  The plain model caches no objective term.
+    used to form; that H step writes its quotients over it, and layer l's W
+    step its own product and quotients.  At beta != 1 a step's second
+    X-sized power of the product goes into the first of the driver's work
+    arrays ``work[l]``; at beta = 1 there is none, and the driver makes no
+    work arrays.  The plain model caches no objective term.
     """
 
     constraint = ROW_SIMPLEX_H
@@ -137,10 +140,12 @@ class DeepBlocks:
 
     def __init__(self, config: SolverConfig):
         self.beta = config.beta
+        self.takes_work = config.beta != 1.0
 
-    def update_layer(self, state: DeepState, i: int, lams, V: List[np.ndarray]):
+    def update_layer(self, state: DeepState, i: int, lams, V: List[np.ndarray], work, positive):
         target = state.prev_w(i)
-        state.H[i] = update_h_simplex(state.W[i], target, state.H[i], self.beta, V=V[i])
+        w = None if work is None else work[i][0]
+        state.H[i] = update_h_simplex(state.W[i], target, state.H[i], self.beta, V=V[i], work=w)
         if i < state.num_layers - 1:
             ctx = InnerWContext(
                 Y=target,
@@ -149,9 +154,11 @@ class DeepBlocks:
                 W_bar=V[i + 1],
                 lambda_ratio=lams[i + 1] / lams[i],
             )
-            state.W[i] = update_w_inner(ctx, self.beta, scratch=V[i])
+            state.W[i] = update_w_inner(ctx, self.beta, scratch=V[i], work=w)
         else:
-            state.W[i] = update_w_terminal(target, state.W[i], state.H[i], self.beta, scratch=V[i])
+            state.W[i] = update_w_terminal(
+                target, state.W[i], state.H[i], self.beta, scratch=V[i], work=w
+            )
 
     def slack(self, previous_total: float, lams) -> float:
         return MONOTONICITY_REL_SLACK * max(1.0, abs(previous_total))
@@ -171,11 +178,13 @@ def run_sweeps(
     Factors are floored at ``MACHINE_EPS`` and put in the convention of
     ``blocks.constraint``; lambda weights left as ``None`` are auto-balanced
     at that state.  The driver then forms one product per layer,
-    ``V[l] = W_l H_l``, and the mask ``X > 0`` (None if X has no zero), and
-    keeps both for the run.  Each sweep calls
-    ``blocks.update_layer(state, i, lams, V)`` for every layer, then
-    ``eval_objective`` of ``blocks.model``, which refreshes ``V`` in place
-    and takes the strategy's ``blocks.cached`` terms; the total may not rise
+    ``V[l] = W_l H_l``, a pair of work arrays of the same shape per layer if
+    ``blocks.takes_work`` (else ``work`` is None), and the mask ``X > 0``
+    (None if X has no zero), and keeps them for the run.  Each sweep calls
+    ``blocks.update_layer(state, i, lams, V, work, positive)`` for every
+    layer, then ``eval_objective`` of ``blocks.model``, which refreshes ``V``
+    in place, writes its divergence cells into ``work`` and takes the
+    strategy's ``blocks.cached`` terms; the total may not rise
     by more than ``blocks.slack(previous_total, lams)`` (else
     ``MonotonicityError``).  The trace's log-det columns are the objective's
     per-layer log-dets.  A positive ``config.rel_obj_tol`` stops the run
@@ -220,18 +229,19 @@ def run_sweeps(
     lams = config.lambdas()
 
     V = [w @ h for w, h in zip(state.W, state.H)]
+    work = [(np.empty_like(v), np.empty_like(v)) for v in V] if blocks.takes_work else None
     positive = None if state.X.all() else state.X > 0
     trace = ConvergenceTrace(state.num_layers, lambdas=list(lams)) if traced else None
     previous_total = np.inf
     for sweep in range(config.max_sweeps):
         started = time.perf_counter()
         for i in range(state.num_layers):
-            blocks.update_layer(state, i, lams, V)
+            blocks.update_layer(state, i, lams, V, work, positive)
         for i in range(state.num_layers):
             if not (np.isfinite(state.W[i]).all() and np.isfinite(state.H[i]).all()):
                 raise DomainError(f"non-finite factor after sweep {sweep}, in layer {i + 1}")
         total, per_layer = eval_objective(
-            state, config, blocks.model, V, positive, blocks.cached, logdets=traced
+            state, config, blocks.model, V, positive, blocks.cached, logdets=traced, work=work
         )
         slack = blocks.slack(previous_total, lams)
         if total > previous_total + slack:

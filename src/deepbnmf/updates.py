@@ -78,7 +78,7 @@ def solve_multipliers(f_df, start, tol):
     raise NoRootError(f"multiplier solve stalled; worst residual {np.max(np.abs(f))}")
 
 
-def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
+def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None, work=None):
     """Majorizer minimizer of H |-> D_beta(Y, W H) over rows of H on the simplex.
 
     For beta = 1 the per-row stationarity has a row-constant denominator and
@@ -91,8 +91,9 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
     and ``H_tilde`` (r, n) positive, ``Y`` (m, n) nonnegative, a supported beta.
 
     ``V``, if given, is the product ``W @ H_tilde`` in a float array that
-    the beta = 1 quotient ``Y / V`` then overwrites; the result is the same,
-    bit for bit.
+    the step's quotients and powers of V then overwrite.  ``work``, a float
+    array of Y's shape, if given, takes the beta = 1/2 step's second one
+    (else it is allocated).  The result is the same, bit for bit.
     """
     if V is None:
         V = W @ H_tilde
@@ -103,7 +104,7 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
         dead = sums <= 0
         H = numer / np.where(dead, 1.0, sums)[:, None]
     else:
-        H, dead = _h_simplex_general(W, Y, H_tilde, V, beta)
+        H, dead = _h_simplex_general(W, Y, H_tilde, V, beta, work)
     # Kill the last-ulp feasibility drift before flooring; dead rows are
     # overwritten below, so their 0/0 here does not matter.
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -119,30 +120,36 @@ def update_h_simplex(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
     return np.maximum(H, eps, out=H)
 
 
-def _h_simplex_general(W, Y, H_tilde, V, b):
+def _h_simplex_general(W, Y, H_tilde, V, b, work):
     """Row-multiplier solve shared by beta in {0, 1/2, 3/2, 2}.
 
     Each row's residual is convex and decreasing in its multiplier, and each
     row starts from a bound that places it left of the root, so plain Newton
     converges (see ``solve_multipliers``).  Rows with an identically zero
     numerator are excluded from the solve and reported back to the caller.
+    The quotients of the product ``V`` go into V and ``work`` (None: allocated).
     """
     if b == 1.5:
-        sqv = np.sqrt(V)
+        sqv = np.sqrt(V, out=V)
         A = W.T @ sqv
-        B = W.T @ (Y / sqv)
+        B = W.T @ np.divide(Y, sqv, out=sqv)
     elif b == 2.0:
         A = W.T @ V
         B = W.T @ Y
     elif b == 0.5:
         # Reciprocals and roots, not numpy's slower general power.
-        inv_sqv = 1.0 / np.sqrt(V)
-        B = W.T @ (Y * (inv_sqv / V))
+        inv_sqv = np.sqrt(V, out=work)
+        np.divide(1.0, inv_sqv, out=inv_sqv)
         C = W.T @ inv_sqv
+        q = np.divide(inv_sqv, V, out=V)
+        q *= Y
+        B = W.T @ q
     else:  # b == 0
-        inv = 1.0 / V
-        B = W.T @ (Y * (inv * inv))
+        inv = np.divide(1.0, V, out=V)
         C = W.T @ inv
+        q = np.multiply(inv, inv, out=inv)
+        q *= Y
+        B = W.T @ q
     dead = B.sum(axis=1) <= 0
     alive = ~dead
     H = np.zeros_like(H_tilde)
@@ -232,15 +239,42 @@ def _h_simplex_general(W, Y, H_tilde, V, b):
     return H, dead
 
 
-def update_h_plain(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None):
+def _power_into(V, e, out):
+    """``V ** e`` written into ``out`` (which may be V), bit for bit: by the
+    ufunc that numpy's ``**`` takes for this scalar exponent, where
+    ``np.power`` itself runs its slower general loop."""
+    if e == 0.0:
+        out.fill(1.0)
+        return out
+    if e == -1.0:
+        return np.reciprocal(V, out=out)
+    if e == 0.5:
+        return np.sqrt(V, out=out)
+    return np.power(V, e, out=out)
+
+
+def _mu_ratio(V, Y, beta, work, times):
+    """``times(Y * V ** (beta - 2)) / times(V ** (beta - 1))``, the ratio of a
+    multiplicative step, with the powers of the product ``V`` written over V
+    and ``work`` (None: allocated).  At beta = 1 the second power, all ones,
+    does not read V, so both go into V and ``work`` is not used."""
+    q = V if beta == 1.0 else np.empty_like(V) if work is None else work
+    q = _power_into(V, beta - 2.0, q)
+    q *= Y
+    numer = times(q)
+    return numer / times(_power_into(V, beta - 1.0, V))
+
+
+def update_h_plain(W, Y, H_tilde, beta, eps: float = MACHINE_EPS, V=None, work=None):
     """One classical multiplicative update of H for D_beta(Y, W H), no constraint;
     unchecked preconditions as for ``update_h_simplex``.  ``V``, if given, is
-    the product ``W @ H_tilde``; it is only read."""
+    the product ``W @ H_tilde`` in a float array that the step's powers of V
+    then overwrite, with ``work``, a float array of Y's shape, at beta != 1
+    (else it is allocated).  The powers are numpy's ``**`` (at beta = 1 a
+    reciprocal and a filled array), so the result is the same, bit for bit."""
     if V is None:
         V = W @ H_tilde
-    numer = W.T @ (Y * V ** (beta - 2.0))
-    denom = W.T @ V ** (beta - 1.0)
-    H = H_tilde * (numer / denom) ** mu_exponent(beta)
+    H = H_tilde * _mu_ratio(V, Y, beta, work, lambda M: W.T @ M) ** mu_exponent(beta)
     return epsilon_floor(H, eps)
 
 
@@ -261,11 +295,13 @@ class InnerWContext:
     lambda_ratio: float
 
 
-def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS, scratch=None):
+def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS, scratch=None, work=None):
     """Entrywise minimizer of fit-majorizer + lam * D_beta(w, w_bar) over w >= 0;
     unchecked preconditions: ``ctx`` as documented, a supported beta.
     A float ``scratch`` array of Y's shape, if given, is overwritten with the
-    product ``W_tilde @ H`` and the beta = 1 quotient; the result is the same."""
+    product ``W_tilde @ H`` and its quotients, and a float ``work`` array of
+    that shape with the second power of the product at beta 0 and 1/2 (else
+    it is allocated); the result is the same."""
     Y, Wt, H, Wb = ctx.Y, ctx.W_tilde, ctx.H, ctx.W_bar
     lam = float(ctx.lambda_ratio)
     V = np.matmul(Wt, H, out=scratch)
@@ -273,21 +309,23 @@ def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS, scratch=N
         B = Wt * (np.divide(Y, V, out=V) @ H.T)
         W = kl_inner_cells(B, H.sum(axis=1)[None, :] - lam * np.log(Wb), lam)
     elif beta == 1.5:
-        sqv = np.sqrt(V)
+        sqv = np.sqrt(V, out=V)
         A = Wt ** -0.5 * (sqv @ H.T) + 2.0 * lam
-        B = Wt ** 0.5 * ((Y / sqv) @ H.T)
+        B = Wt ** 0.5 * (np.divide(Y, sqv, out=sqv) @ H.T)
         C = 2.0 * lam * np.sqrt(Wb)
         W = three_half_inner_cells(A, B, C)
     elif beta == 0.0:
-        A = Wt ** 2 * ((Y / V ** 2) @ H.T)
-        C = (1.0 / V) @ H.T + lam / Wb
+        q = np.square(V, out=work)
+        A = Wt ** 2 * (np.divide(Y, q, out=q) @ H.T)
+        C = np.divide(1.0, V, out=V) @ H.T + lam / Wb
         W = is_inner_cells(A, C, lam)
     elif beta == 2.0:
         # The Lee-Seung majorizer's curvature is (V H^T) / W_tilde.
         W = (Y @ H.T + lam * Wb) / ((V @ H.T) / Wt + lam)
     else:  # beta == 0.5
-        cbar = (V ** -0.5) @ H.T + 2.0 * lam * Wb ** -0.5
-        abar = Wt ** 1.5 * ((Y / V ** 1.5) @ H.T)
+        cbar = np.power(V, -0.5, out=work) @ H.T + 2.0 * lam * Wb ** -0.5
+        q = np.power(V, 1.5, out=V)
+        abar = Wt ** 1.5 * (np.divide(Y, q, out=q) @ H.T)
         W = half_inner_cells(abar, cbar, lam)
     return epsilon_floor(W, eps)
 
@@ -360,21 +398,13 @@ def half_inner_cells(abar, cbar, lam):
     return x * x
 
 
-def update_w_terminal(Y, W_tilde, H, beta, eps: float = MACHINE_EPS, scratch=None):
+def update_w_terminal(Y, W_tilde, H, beta, eps: float = MACHINE_EPS, scratch=None, work=None):
     """One classical multiplicative update of W for D_beta(Y, W H); unchecked
     preconditions as for ``update_h_simplex``, with ``W_tilde`` in place of W.
     A float ``scratch`` array of Y's shape, if given, is overwritten with the
-    product ``W_tilde @ H`` and the beta = 1 quotients; the result is the same."""
+    product ``W_tilde @ H`` and its powers, and a float ``work`` array of that
+    shape with ``Y * V ** (beta - 2)`` at beta != 1 (else it is allocated);
+    the result is the same."""
     V = np.matmul(W_tilde, H, out=scratch)
-    if beta == 1.0:
-        # V ** -1.0 and V ** 0.0 in place, by the operations numpy's power takes.
-        np.reciprocal(V, out=V)
-        V *= Y
-        numer = V @ H.T
-        V.fill(1.0)
-        denom = V @ H.T
-    else:
-        numer = (Y * V ** (beta - 2.0)) @ H.T
-        denom = V ** (beta - 1.0) @ H.T
-    W = W_tilde * (numer / denom) ** mu_exponent(beta)
+    W = W_tilde * _mu_ratio(V, Y, beta, work, lambda M: M @ H.T) ** mu_exponent(beta)
     return epsilon_floor(W, eps)
