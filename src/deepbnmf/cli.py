@@ -34,11 +34,12 @@ class UsageError(Exception):
     pass
 
 
-def _parse_floats(text, name, count=None):
+def _parse_list(text, name, kind=float, count=None):
     try:
-        values = [float(tok) for tok in text.split(",") if tok != ""]
+        values = [kind(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise UsageError(f"--{name} expects a comma-separated list of numbers")
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"--{name} expects a comma-separated list of {noun}")
     if count is not None and len(values) != count:
         raise UsageError(f"--{name} expects {count} values, got {len(values)}")
     return values
@@ -70,11 +71,13 @@ def _build_parser():
                      help="record wall time in the trace (breaks byte-level "
                           "reproducibility of trace files)")
     fac.add_argument("--out", required=True, help="output directory")
+    fac.set_defaults(run=_cmd_factorize)
 
     cmp_ = sub.add_parser("compare", help="compare two factorization runs")
     cmp_.add_argument("--deep", required=True, help="run directory of the deep run")
     cmp_.add_argument("--baseline", required=True, help="run directory of the baseline")
     cmp_.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    cmp_.set_defaults(run=_cmd_compare)
 
     ren = sub.add_parser("render", help="render layer features as a PGM mosaic")
     ren.add_argument("--factors", required=True, help="run directory with factors")
@@ -82,32 +85,30 @@ def _build_parser():
     ren.add_argument("--tile", required=True, help="tile size HxW")
     ren.add_argument("--grid", type=int, required=True, help="tiles per mosaic row")
     ren.add_argument("--out", default=None, help="output PGM path")
+    ren.set_defaults(run=_cmd_render)
 
     met = sub.add_parser("metrics", help="Hoyer sparsity and scatteredness reports")
     met.add_argument("--h-file", required=True, help="matrix file (csv or binary)")
     met.add_argument("--format", choices=("csv", "binary"), default=None,
                      help="override format detection by extension")
+    met.set_defaults(run=_cmd_metrics)
     return parser
 
 
 def _resolve_layers(args):
-    ranks = []
-    try:
-        ranks = [int(tok) for tok in args.ranks.split(",") if tok != ""]
-    except ValueError:
-        raise UsageError("--ranks expects a comma-separated list of integers")
+    ranks = _parse_list(args.ranks, "ranks", int)
     if not ranks:
         raise UsageError("--ranks must name at least one rank")
     if args.lam == "auto":
         lams = [None] * len(ranks)
     else:
-        lams = _parse_floats(args.lam, "lambda", len(ranks))
+        lams = _parse_list(args.lam, "lambda", count=len(ranks))
     if args.alpha is None:
         alphas = [0.0] * len(ranks)
         if args.method == "minvol":
             raise UsageError("--alpha is required for the minvol method")
     else:
-        alphas = _parse_floats(args.alpha, "alpha", len(ranks))
+        alphas = _parse_list(args.alpha, "alpha", count=len(ranks))
         if args.method != "minvol":
             print("note: --alpha is only used by the minvol method", file=sys.stderr)
     return [LayerSpec(rank=r, lam=l, alpha=a) for r, l, a in zip(ranks, lams, alphas)]
@@ -238,22 +239,11 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "factorize":
-            return _cmd_factorize(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DeepBnmfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DeepBnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

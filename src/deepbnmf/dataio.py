@@ -128,23 +128,17 @@ def write_mosaic_pgm(
     height = grid_rows * tile_h + (grid_rows - 1)
     width = grid_cols * tile_w + (grid_cols - 1)
     image = np.full((height, width), 255, dtype=np.uint8)
-    for k in range(n):
-        tile = F[k].reshape(tile_h, tile_w)
-        lo, hi = tile.min(), tile.max()
-        if hi > lo:
-            pixels = np.rint(255.0 * (tile - lo) / (hi - lo)).astype(np.uint8)
-        else:
-            pixels = np.zeros((tile_h, tile_w), dtype=np.uint8)
+    for k in range(grid_rows * grid_cols):
+        pixels = 0  # constant tiles, and the unused cells of a partial last row
+        if k < n:
+            tile = F[k].reshape(tile_h, tile_w)
+            lo, hi = tile.min(), tile.max()
+            if hi > lo:
+                pixels = np.rint(255.0 * (tile - lo) / (hi - lo)).astype(np.uint8)
         gr, gc = divmod(k, grid_cols)
         top = gr * (tile_h + 1)
         left = gc * (tile_w + 1)
         image[top : top + tile_h, left : left + tile_w] = pixels
-    # Blank unused grid cells for partial last rows.
-    for k in range(n, grid_rows * grid_cols):
-        gr, gc = divmod(k, grid_cols)
-        top = gr * (tile_h + 1)
-        left = gc * (tile_w + 1)
-        image[top : top + tile_h, left : left + tile_w] = 0
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(image.tobytes())

@@ -23,7 +23,6 @@ from .model import (
     COLUMN_SIMPLEX_W,
     ConvergenceTrace,
     DeepState,
-    MACHINE_EPS,
     SolverConfig,
     logdet_gram,
 )
@@ -32,7 +31,7 @@ from .solvers import run_sweeps
 # Not called here; perfbench/tracer.py wraps these names on this module.
 from .model import auto_balance_weights, eval_objective  # noqa: F401
 from .solvers import multilayer_factorize  # noqa: F401
-from .updates import InnerWContext, epsilon_floor, solve_multipliers, update_h_plain
+from .updates import InnerWContext, floor_columns, solve_multipliers, update_h_plain
 
 _COLUMN_SUM_TOL = 1e-12
 
@@ -99,12 +98,6 @@ def _w_step_terms(Y, Wt, H, A, rho: float, alpha_ratio: float, V=None, work=None
     return C0, S, T
 
 
-def _floor_columns(W):
-    """W floored at ``MACHINE_EPS`` with its columns renormalized to sum to one."""
-    W = epsilon_floor(W, MACHINE_EPS)
-    return W / W.sum(axis=0, keepdims=True)
-
-
 def minvol_terminal_w_step(Y, W_tilde, H, A, alpha_ratio: float, V=None, work=None):
     """Last-layer W update: the ADMM W step without its coupling terms (rho = 0),
     floored and column-renormalized like the ADMM's result.  ``A`` is
@@ -112,7 +105,7 @@ def minvol_terminal_w_step(Y, W_tilde, H, A, alpha_ratio: float, V=None, work=No
     ``_w_step_terms``.  Unchecked preconditions: positive factors, chain
     shapes, ``alpha_ratio > 0``."""
     C, S, T = _w_step_terms(Y, W_tilde, H, A, 0.0, alpha_ratio, V, work)
-    return _floor_columns(_simplex_w_minimize(W_tilde, C, S, T)[0])
+    return floor_columns(_simplex_w_minimize(W_tilde, C, S, T)[0])
 
 
 def z_min_step(W_bar: np.ndarray, V: np.ndarray, nu: float):
@@ -189,7 +182,7 @@ def admm_solve_w(
             converged = True
             break
     state = AdmmState(W=W, Z=Z, U=U, iterations=len(residuals), primal_residual=residuals[-1])
-    return _floor_columns(best_w), AdmmRun(state=state, residuals=residuals, converged=converged)
+    return floor_columns(best_w), AdmmRun(state=state, residuals=residuals, converged=converged)
 
 
 def _w_block_value(W, WH, Y, W_bar, lam, lam_next, alpha, delta, out=None, positive=None):
@@ -251,13 +244,7 @@ class MinvolBlocks:
                 target, state.W[i], state.H[i], A, alpha_ratio, V=WH, work=scratch
             )
             return
-        ctx = InnerWContext(
-            Y=target,
-            W_tilde=state.W[i],
-            H=state.H[i],
-            W_bar=V[i + 1],
-            lambda_ratio=lams[i + 1] / lams[i],
-        )
+        ctx = InnerWContext.of_layer(state, i, lams, V)
         W_new, run = admm_solve_w(
             ctx, A, alpha_ratio, rho=config.rho, max_iter=config.admm_max_iter,
             tol=config.admm_tol, V=WH, work=scratch,

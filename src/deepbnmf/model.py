@@ -8,6 +8,7 @@ rows of each ``H`` on the simplex (plain deep beta-NMF) or columns of each
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import List, Literal, Optional, Sequence
@@ -25,6 +26,12 @@ Constraint = Literal["row-simplex-h", "column-simplex-w"]
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 
+def _check_count(name: str, value, low: int):
+    """A count must be an integer (numpy's too) of at least ``low``."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Per-layer rank and penalty weights.
@@ -39,8 +46,7 @@ class LayerSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
+        _check_count("rank", self.rank, 1)
         if self.lam is not None and not 0 < self.lam < np.inf:
             raise ConfigError(f"lam must be positive and finite, got {self.lam}")
         if not 0 <= self.alpha < np.inf:
@@ -83,13 +89,11 @@ class SolverConfig:
         for name in ("delta", "rho", "admm_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
-        for name in ("admm_max_iter", "max_sweeps"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name, low in (("admm_max_iter", 1), ("max_sweeps", 1), ("warm_start_sweeps", 0),
+                          ("seed", 0)):
+            _check_count(name, getattr(self, name), low)
         if not 0 <= self.rel_obj_tol < np.inf:
             raise ConfigError("rel_obj_tol must be nonnegative and finite")
-        if self.warm_start_sweeps < 0:
-            raise ConfigError("warm_start_sweeps must be >= 0")
 
     @property
     def ranks(self):

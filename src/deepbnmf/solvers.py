@@ -38,6 +38,7 @@ from .model import (
 from .updates import (
     InnerWContext,
     epsilon_floor,
+    floor_columns,
     update_h_simplex,
     update_w_inner,
     update_w_terminal,
@@ -48,19 +49,6 @@ from .divergence import beta_div_matrix  # noqa: F401
 #: Relative slack allowed on the per-sweep objective decrease of the deep
 #: and multilayer solvers; anything beyond this is a bug and raises.
 MONOTONICITY_REL_SLACK = 1e-10
-
-
-def _check_beta_zero_data(X, beta):
-    """At beta = 0 a zero entry of X makes the Itakura-Saito divergence, and
-    so every objective, +inf, where no rise could be seen: refuse such data."""
-    if beta == 0.0:
-        X = check_data(X)
-        zeros = X.size - np.count_nonzero(X)
-        if zeros:
-            raise DomainError(
-                f"beta = 0 needs strictly positive data: X has {zeros} zero entries, "
-                "where the Itakura-Saito divergence is infinite"
-            )
 
 
 def multilayer_factorize(
@@ -78,7 +66,6 @@ def multilayer_factorize(
     start of the deep and min-vol solvers) the trace is None and no sweep
     keeps a record; the factors are the same.
     """
-    _check_beta_zero_data(X, config.beta)
     lams = [spec.lam if spec.lam is not None else 1.0 for spec in config.layers]
     trace = ConvergenceTrace(len(lams), lambdas=lams) if traced else None
     state = init_random(X, config.layers, config.seed, ROW_SIMPLEX_H)
@@ -103,11 +90,10 @@ def multilayer_factorize(
             logdets = tuple(logdet_gram(w, config.delta) for w in state.W)
             for rec in layer_trace.records:
                 errors[i] = rec.layer_errors[0]
-                known = [e for e in errors if np.isfinite(e)]
                 trace.append(
                     SweepRecord(
                         sweep=len(trace),
-                        total_objective=float(np.dot(trace.lambdas[: len(known)], known)),
+                        total_objective=float(np.dot(trace.lambdas[: i + 1], errors[: i + 1])),
                         layer_errors=tuple(errors),
                         logdet_terms=logdets[:i] + rec.logdet_terms + logdets[i:],
                         max_residual=float(np.maximum(residual, rec.max_residual)),  # keeps NaN
@@ -147,13 +133,7 @@ class DeepBlocks:
         w = None if work is None else work[i][0]
         state.H[i] = update_h_simplex(state.W[i], target, state.H[i], self.beta, V=V[i], work=w)
         if i < state.num_layers - 1:
-            ctx = InnerWContext(
-                Y=target,
-                W_tilde=state.W[i],
-                H=state.H[i],
-                W_bar=V[i + 1],
-                lambda_ratio=lams[i + 1] / lams[i],
-            )
+            ctx = InnerWContext.of_layer(state, i, lams, V)
             state.W[i] = update_w_inner(ctx, self.beta, scratch=V[i], work=w)
         else:
             state.W[i] = update_w_terminal(
@@ -176,16 +156,18 @@ def run_sweeps(
     The start is ``warm`` (its factors, fitted to ``X``), else
     ``config.warm_start_sweeps`` of multilayer NMF, else a random state.
     Factors are floored at ``MACHINE_EPS`` and put in the convention of
-    ``blocks.constraint``; lambda weights left as ``None`` are auto-balanced
-    at that state.  The driver then forms one product per layer,
-    ``V[l] = W_l H_l``, a pair of work arrays of the same shape per layer if
-    ``blocks.takes_work`` (else ``work`` is None), and the mask ``X > 0``
-    (None if X has no zero), and keeps them for the run.  Each sweep calls
+    ``blocks.constraint``, and the mask ``X > 0`` is built (None if X has no
+    zero).  At beta = 0 a zero of X makes every objective +inf, where no rise
+    could be seen, so the mask's scan raises ``DomainError`` before lambda
+    weights left as ``None`` are auto-balanced at that state.  The driver
+    then forms one product per layer, ``V[l] = W_l H_l``, and a pair of work
+    arrays of the same shape per layer if ``blocks.takes_work`` (else ``work``
+    is None), and keeps them and the mask for the run.  Each sweep calls
     ``blocks.update_layer(state, i, lams, V, work, positive)`` for every
     layer, then ``eval_objective`` of ``blocks.model``, which refreshes ``V``
     in place, writes its divergence cells into ``work`` and takes the
     strategy's ``blocks.cached`` terms; the total may not rise
-    by more than ``blocks.slack(previous_total, lams)`` (else
+    by more than ``blocks.slack(previous_total, lams)`` nor be NaN (else
     ``MonotonicityError``).  The trace's log-det columns are the objective's
     per-layer log-dets.  A positive ``config.rel_obj_tol`` stops the run
     early.  With ``traced`` False the trace is None: no sweep builds a record
@@ -216,11 +198,15 @@ def run_sweeps(
     else:
         state = init_random(X, config.layers, config.seed, blocks.constraint)
     for i in range(state.num_layers):
-        state.W[i] = epsilon_floor(state.W[i], MACHINE_EPS)
-        if column_w:
-            state.W[i] /= state.W[i].sum(axis=0, keepdims=True)
+        state.W[i] = (floor_columns(state.W[i]) if column_w
+                      else epsilon_floor(state.W[i], MACHINE_EPS))
         state.H[i] = epsilon_floor(state.H[i], MACHINE_EPS)
 
+    positive = None if state.X.all() else state.X > 0
+    if positive is not None and config.beta == 0.0:
+        zeros = positive.size - np.count_nonzero(positive)
+        raise DomainError(f"beta = 0 needs strictly positive data: X has {zeros} zero entries, "
+                          "where the Itakura-Saito divergence is infinite, in layer 1")
     if any(spec.lam is None for spec in config.layers):
         balanced = auto_balance_weights(state, config.beta)
         config = config.with_lambdas(
@@ -230,7 +216,6 @@ def run_sweeps(
 
     V = [w @ h for w, h in zip(state.W, state.H)]
     work = [(np.empty_like(v), np.empty_like(v)) for v in V] if blocks.takes_work else None
-    positive = None if state.X.all() else state.X > 0
     trace = ConvergenceTrace(state.num_layers, lambdas=list(lams)) if traced else None
     previous_total = np.inf
     for sweep in range(config.max_sweeps):
@@ -244,7 +229,7 @@ def run_sweeps(
             state, config, blocks.model, V, positive, blocks.cached, logdets=traced, work=work
         )
         slack = blocks.slack(previous_total, lams)
-        if total > previous_total + slack:
+        if not total <= previous_total + slack:  # a NaN total fails too
             raise MonotonicityError(
                 f"{blocks.model} objective rose from {previous_total} to {total} "
                 f"at sweep {sweep}, beyond the slack {slack}"
@@ -284,5 +269,4 @@ def deep_factorize(
 
     Returns the final state and the trace of the deep sweeps only.
     """
-    _check_beta_zero_data(X, config.beta)
     return run_sweeps(X, config, warm, DeepBlocks(config))

@@ -42,6 +42,13 @@ def epsilon_floor(M: np.ndarray, eps: float) -> np.ndarray:
     return np.maximum(M, eps, dtype=float)
 
 
+def floor_columns(W: np.ndarray) -> np.ndarray:
+    """W floored at ``MACHINE_EPS`` with its columns renormalized to sum to one."""
+    W = epsilon_floor(W, MACHINE_EPS)
+    W /= W.sum(axis=0, keepdims=True)
+    return W
+
+
 def solve_multipliers(f_df, start, tol):
     """Roots of convex decreasing functions, one multiplier each, by Newton.
 
@@ -293,6 +300,13 @@ class InnerWContext:
     H: np.ndarray
     W_bar: np.ndarray
     lambda_ratio: float
+
+    @classmethod
+    def of_layer(cls, state, i: int, lams, V) -> "InnerWContext":
+        """Layer i's context in a sweep of ``run_sweeps``: its target, its
+        factors, the driver's product ``V[i + 1]`` of the layer above as
+        ``W_bar``, and the ratio of the two layers' weights ``lams``."""
+        return cls(state.prev_w(i), state.W[i], state.H[i], V[i + 1], lams[i + 1] / lams[i])
 
 
 def update_w_inner(ctx: InnerWContext, beta, eps: float = MACHINE_EPS, scratch=None, work=None):

@@ -151,10 +151,21 @@ class TestFactorize:
         args[args.index("--lambda") + 1] = "4,2,1"
         assert run_command(args) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ranks", "2.5", "--ranks expects a comma-separated list of integers"),
+        ("--ranks", ",", "--ranks must name at least one rank"),
+        ("--lambda", "4,one", "--lambda expects a comma-separated list of numbers"),
+    ])
+    def test_bad_list_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        args = factorize_args(tmp_path / "x")
+        args[args.index(flag) + 1] = value
+        assert run_command(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag, value, name", [
         ("--delta", "inf", "delta"), ("--rho", "inf", "rho"), ("--admm-tol", "inf", "admm_tol"),
         ("--rel-obj-tol", "nan", "rel_obj_tol"), ("--rel-obj-tol", "inf", "rel_obj_tol"),
-        ("--lambda", "inf,1", "lam"), ("--lambda", "nan,1", "lam"),
+        ("--lambda", "inf,1", "lam"), ("--lambda", "nan,1", "lam"), ("--seed", "-1", "seed"),
     ])
     def test_non_finite_setting_is_runtime_error(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "x"
@@ -255,6 +266,20 @@ class TestCompareRenderMetrics:
             "render", "--factors", str(deep_out), "--layer", "1",
             "--tile", "3x3", "--grid", "3",
         ]) == 1  # 9 != 20 entries per feature row
+
+    def test_render_tile_without_width(self, tmp_path, capsys):
+        assert run_command([
+            "render", "--factors", str(tmp_path), "--layer", "1", "--tile", "19", "--grid", "3",
+        ]) == 2
+        assert capsys.readouterr().err == "error: --tile expects HxW, e.g. 19x19\n"
+
+    def test_compare_without_factors_is_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "manifest.txt").write_text("beta = 1.0\n")
+        write_matrix(np.ones((3, 2)), tmp_path / "X.bin", "binary")
+        assert run_command(["compare", "--deep", str(tmp_path), "--baseline", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no factors found in {tmp_path}\n"
 
     def test_render_negative_tile(self, two_runs, capsys):
         deep_out, _ = two_runs

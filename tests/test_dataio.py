@@ -106,6 +106,16 @@ class TestMosaic:
         assert np.all(pixels[2, :] == 255)
         assert np.all(pixels[:, 2] == 255)
 
+    def test_partial_last_row(self, tmp_path):
+        # Three tiles two to a row: the last row's second cell is blank.
+        path = tmp_path / "f.pgm"
+        write_mosaic_pgm(np.arange(12, dtype=float).reshape(3, 4), 2, 2, 2, path)
+        pixels = self.read_pgm(path)
+        assert pixels.shape == (5, 5)
+        assert np.all(pixels[2, :] == 255) and np.all(pixels[:, 2] == 255)
+        assert pixels[3:, :2].tolist() == [[0, 85], [170, 255]]
+        assert np.all(pixels[3:, 3:] == 0)
+
     def test_tile_size_mismatch(self, tmp_path):
         with pytest.raises(DimensionError):
             write_mosaic_pgm(np.ones((1, 5)), 2, 2, 1, tmp_path / "f.pgm")

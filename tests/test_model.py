@@ -284,6 +284,22 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match=name):
             SolverConfig(beta=1.0, layers=[LayerSpec(2)], **{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_sweeps", 2.5), ("max_sweeps", math.nan), ("warm_start_sweeps", 1.5),
+        ("admm_max_iter", 2.5), ("seed", 1.5), ("seed", -1), ("rank", 2.5),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            if name == "rank":
+                LayerSpec(value)
+            else:
+                SolverConfig(beta=1.0, layers=[LayerSpec(2)], **{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SolverConfig(beta=1.0, layers=[LayerSpec(np.int64(2))], max_sweeps=np.int32(3),
+                           seed=np.uint8(0))
+        assert list(range(cfg.max_sweeps)) == [0, 1, 2] and cfg.ranks == [2]
+
     @pytest.mark.parametrize("field", ["lam", "alpha"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_layer_weights_rejected(self, field, value):

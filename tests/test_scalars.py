@@ -347,6 +347,20 @@ class TestMonotoneSolve:
         assert np.abs(f_df(warm)[0]).max() <= tol
         assert np.abs(warm - cold).max() <= 1e-10
 
+    @pytest.mark.parametrize("stall", [5e-11, 1e-9])
+    def test_stalled_residual_against_the_contract(self, stall):
+        # The residual never meets the tolerance; once the step budget is
+        # spent, a stall within the 1e-10 row-sum contract is accepted and
+        # one beyond it raises.
+        f_df = counting(lambda mu: (np.full(mu.shape, stall), np.full(mu.shape, -1.0)))
+        if stall <= 1e-10:
+            mu = solve_multipliers(f_df, np.zeros(2), 1e-13)
+            assert np.allclose(mu, 200 * stall, rtol=1e-12, atol=0)
+            assert f_df.calls == 201
+        else:
+            with pytest.raises(NoRootError, match="stalled"):
+                solve_multipliers(f_df, np.zeros(2), 1e-13)
+
     @pytest.mark.parametrize(
         "start",
         [np.zeros(3), np.zeros((2, 1)), np.zeros(1), [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf]],

@@ -515,6 +515,32 @@ def test_non_finite_block_output_names_sweep_and_layer(solver, monkeypatch):
     assert len(calls) == 3
 
 
+# The sweep whose objective takes a NaN divergence from the third call of the
+# objective's divergence, with every weight given (no balancing calls it) and
+# no warm start: deep forms two divergences per sweep, min-vol only the last
+# layer's, and multilayer one per sweep of layer 1's one-layer problem.
+NAN_OBJECTIVE_SWEEP = {"deep": 1, "minvol": 2, "multilayer": 2}
+
+
+@pytest.mark.parametrize("solver", sorted(NAN_OBJECTIVE_SWEEP))
+def test_nan_objective_raises(solver, monkeypatch):
+    real = deepbnmf.model.beta_div_matrix
+    calls = []
+
+    def nan_on_third_call(*args, **kwargs):
+        calls.append(1)
+        return np.nan if len(calls) == 3 else real(*args, **kwargs)
+
+    monkeypatch.setattr(deepbnmf.model, "beta_div_matrix", nan_on_third_call)
+    sweep = NAN_OBJECTIVE_SWEEP[solver]
+    with pytest.raises(MonotonicityError, match=rf"to nan at sweep {sweep},"):
+        if solver == "multilayer":
+            cfg = SolverConfig(beta=1.0, layers=driver_layers("deep"), max_sweeps=4)
+            multilayer_factorize(driver_data(), cfg)
+        else:
+            driver_solve(solver, driver_data(), lams=(1.0, 0.5), warm_start_sweeps=0)
+
+
 MATRIX_CELLS = (
     [("multilayer", b) for b in SUPPORTED_BETAS]
     + [("deep", b) for b in SUPPORTED_BETAS]
